@@ -113,16 +113,15 @@ inline u32 td_col(u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
 }
 
 // InvMixColumns over one packed big-endian column word — used to derive the
-// equivalent-inverse-cipher round keys at schedule time.
+// equivalent-inverse-cipher round keys at schedule time. Td0[S[x]] is the
+// (14, 9, 13, 11)·x column, so four lookups replace the GF multiplies.
 constexpr u32 inv_mix_word(u32 w) noexcept {
-  const u8 a0 = static_cast<u8>(w >> 24), a1 = static_cast<u8>(w >> 16);
-  const u8 a2 = static_cast<u8>(w >> 8), a3 = static_cast<u8>(w);
-  const u8 b0 = static_cast<u8>(gmul(a0, 14) ^ gmul(a1, 11) ^ gmul(a2, 13) ^ gmul(a3, 9));
-  const u8 b1 = static_cast<u8>(gmul(a0, 9) ^ gmul(a1, 14) ^ gmul(a2, 11) ^ gmul(a3, 13));
-  const u8 b2 = static_cast<u8>(gmul(a0, 13) ^ gmul(a1, 9) ^ gmul(a2, 14) ^ gmul(a3, 11));
-  const u8 b3 = static_cast<u8>(gmul(a0, 11) ^ gmul(a1, 13) ^ gmul(a2, 9) ^ gmul(a3, 14));
-  return (u32{b0} << 24) | (u32{b1} << 16) | (u32{b2} << 8) | u32{b3};
+  return k_td0[k_sbox[(w >> 24) & 0xFF]] ^ rotr32c(k_td0[k_sbox[(w >> 16) & 0xFF]], 8) ^
+         rotr32c(k_td0[k_sbox[(w >> 8) & 0xFF]], 16) ^ rotr32c(k_td0[k_sbox[w & 0xFF]], 24);
 }
+
+static_assert(inv_mix_word(0x01000000u) == 0x0E090D0Bu, "InvMixColumns unit column");
+static_assert(inv_mix_word(0x8E4DA1BCu) == 0xDB135345u, "InvMixColumns inverts MixColumns");
 
 aes_bits bits_from_key_len(std::size_t n) {
   switch (n) {

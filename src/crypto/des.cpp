@@ -143,11 +143,11 @@ std::span<const u8> subkey_bytes(std::span<const u8> key, std::size_t index) {
 
 des::des(std::span<const u8> key) {
   if (key.size() != 8) throw std::invalid_argument("des: key must be 8 bytes");
-  sched_ = make_schedule(load_be64(key.data()));
+  schedule_ = make_schedule(load_be64(key.data()));
 }
 
-u64 des::encrypt_u64(u64 block) const noexcept { return crypt_fast(block, sched_, false); }
-u64 des::decrypt_u64(u64 block) const noexcept { return crypt_fast(block, sched_, true); }
+u64 des::encrypt_u64(u64 block) const noexcept { return crypt_fast(block, schedule_, false); }
+u64 des::decrypt_u64(u64 block) const noexcept { return crypt_fast(block, schedule_, true); }
 
 void des::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
   check_block(in, out);
@@ -161,14 +161,14 @@ void des::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
 
 void des::encrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
   check_blocks(in, out);
-  const bitslice::des_pass pass{&sched_, false};
+  const bitslice::des_pass pass{&schedule_, false};
   crypt_blocks_tiered({&pass, 1}, in, out,
                       [this](u64 x) { return encrypt_u64(x); });
 }
 
 void des::decrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
   check_blocks(in, out);
-  const bitslice::des_pass pass{&sched_, true};
+  const bitslice::des_pass pass{&schedule_, true};
   crypt_blocks_tiered({&pass, 1}, in, out,
                       [this](u64 x) { return decrypt_u64(x); });
 }

@@ -26,8 +26,8 @@ namespace buscrypt::crypto {
 /// of 6 bits each, right-aligned in a byte. Chunk b of a round is bits
 /// [6b+1, 6b+6] of the FIPS 48-bit round key — exactly the bits XORed into
 /// S-box b's input. 128 bytes total, the same footprint as the packed
-/// 16 x u64 48-bit schedule it replaces, so key-schedule LRU cache entries
-/// in the block backend do not grow.
+/// 16 x u64 48-bit schedule it replaces, so the expanded key every
+/// programmed keyslot owns does not grow.
 struct des_schedule {
   std::array<std::array<u8, 8>, 16> k6{};
 };
@@ -54,10 +54,10 @@ class des final : public block_cipher {
   [[nodiscard]] u64 decrypt_u64(u64 block) const noexcept;
 
   /// The chunked schedule, shared verbatim with the bitsliced path.
-  [[nodiscard]] const des_schedule& schedule() const noexcept { return sched_; }
+  [[nodiscard]] const des_schedule& schedule() const noexcept { return schedule_; }
 
  private:
-  des_schedule sched_;
+  des_schedule schedule_;
 };
 
 /// Triple DES in EDE configuration. Supports 2-key (K1,K2,K1) and 3-key

@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <string_view>
@@ -101,16 +100,15 @@ class keyed_cipher {
   virtual void generate_pads(u64 first_dun, std::size_t unit_len, std::span<u8> out);
 };
 
-/// An algorithm+mode the engine can be programmed with. Functionally
-/// immutable — make_keyed() for a given key always mints the same
-/// transform — though an implementation may keep internal host-side
-/// caches (block_backend's key-schedule cache). The registry owns one
-/// instance per capability. Thread-safety contract (the fleet runner
-/// shares builtin() across SoC worker threads): const member functions,
-/// make_keyed() included, must be safe to call concurrently; any internal
-/// cache is the implementation's job to synchronise (block_backend locks
-/// its schedule cache). The keyed_cipher instances minted are NOT shared
-/// — each caller owns its own and runs it single-threaded.
+/// An algorithm+mode the engine can be programmed with. Immutable:
+/// make_keyed() for a given key always mints the same transform, and no
+/// backend keeps an internal cache or any other mutable state. The
+/// registry owns one instance per capability. Thread-safety contract (the
+/// fleet runner shares builtin() across SoC worker threads): const member
+/// functions, make_keyed() included, must be safe to call concurrently
+/// without locking — which holds as long as a backend stays immutable.
+/// The keyed_cipher instances minted are NOT shared — each caller owns its
+/// own and runs it single-threaded.
 class cipher_backend {
  public:
   virtual ~cipher_backend() = default;
@@ -145,22 +143,11 @@ enum class unit_mode {
 
 /// Backend adapting any crypto::block_cipher factory to the unit contract.
 ///
-/// Expanded key schedules are cached per key material (the slot
-/// generation's identity): programming a slot, minting a software-fallback
-/// instance, or probing a context with a key the backend has seen recently
-/// shares one immutable expanded core instead of re-running key expansion
-/// — the fix for the schedule re-expansion that used to ride every
-/// contended crypt_span call. The cache is small (LRU-bounded), holds the
-/// cores by shared_ptr (keyed instances stay valid across eviction), and
-/// is purely a host-speed optimisation: simulated slot-program cycles are
-/// still charged by the engine.
-///
-/// Ownership story under the fleet runner: the cache lives in the backend
-/// instance — usually the process-wide builtin() registry shared by every
-/// SoC on every worker thread — so it is internally locked. The lock
-/// covers only the lookup/insert; expansion output for a given key is
-/// deterministic, so cache state can never change simulated results, only
-/// host speed and the hits/expansions telemetry.
+/// Every make_keyed() runs key expansion afresh into a core the minted
+/// instance owns — the keyslot holds the expanded key, as in the Linux
+/// inline-encryption model, so no second copy is cached here and the
+/// backend stays immutable. Simulated slot-program cycles are charged by
+/// the engine, not here.
 class block_backend final : public cipher_backend {
  public:
   using factory = std::function<std::unique_ptr<crypto::block_cipher>(std::span<const u8>)>;
@@ -175,39 +162,12 @@ class block_backend final : public cipher_backend {
   [[nodiscard]] backend_cost cost() const noexcept override { return cost_; }
   [[nodiscard]] std::size_t max_data_unit_size() const noexcept override;
 
-  /// Schedule-cache effectiveness (host-speed telemetry, test hook).
-  /// Counters are read under the cache lock; across threads their sum
-  /// equals the make_keyed() call count, but the hit/expansion split
-  /// depends on interleaving.
-  [[nodiscard]] u64 schedule_hits() const;
-  [[nodiscard]] u64 schedule_expansions() const;
-
  private:
-  /// Bound chosen to cover a keyslot pool plus in-flight contexts; beyond
-  /// it the LRU entry is dropped (its keyed instances keep their core).
-  static constexpr std::size_t k_sched_cache_entries = 16;
-
-  struct sched_entry {
-    bytes key;
-    std::shared_ptr<const crypto::block_cipher> core;
-    u64 tick = 0;
-  };
-
-  [[nodiscard]] std::shared_ptr<const crypto::block_cipher>
-  expanded_core(std::span<const u8> key) const;
-
   std::string name_;
   unit_mode mode_;
   backend_cost cost_;
   std::vector<std::size_t> key_lens_;
   factory make_;
-  /// Guards the schedule cache and its telemetry: one backend instance is
-  /// shared by every SoC in a fleet run (via builtin()).
-  mutable std::mutex sched_mu_;
-  mutable std::vector<sched_entry> sched_cache_;
-  mutable u64 sched_tick_ = 0;
-  mutable u64 sched_hits_ = 0;
-  mutable u64 sched_expansions_ = 0;
 };
 
 /// Backend adapting any crypto::stream_cipher factory: the generator is

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace buscrypt::crypto {
 namespace {
 
@@ -182,6 +184,28 @@ TEST_P(AesProperty, EncryptDecryptRoundTrip) {
     c.decrypt_block(ct, back);
     EXPECT_EQ(back, pt);
     EXPECT_NE(ct, pt);
+  }
+}
+
+// The FIPS-197 vectors pin one key per width; every decrypt round key
+// passes through the schedule's InvMixColumns, so sweep many keys.
+TEST_P(AesProperty, RandomKeysRoundTripAndBulkMatchesSingleBlock) {
+  rng r(GetParam() + 300);
+  constexpr std::size_t k_blocks = 4;
+  for (int k = 0; k < 256; ++k) {
+    const aes c(r.random_bytes(GetParam()));
+    const bytes pt = r.random_bytes(16 * k_blocks);
+    bytes ct(pt.size()), back(pt.size()), one(16);
+    c.encrypt_blocks(pt, ct);
+    c.decrypt_blocks(ct, back);
+    ASSERT_EQ(back, pt) << "key " << k;
+    for (std::size_t b = 0; b < k_blocks; ++b) {
+      const auto blk = [b](const bytes& v) { return std::span<const u8>(v).subspan(16 * b, 16); };
+      c.encrypt_block(blk(pt), one);
+      ASSERT_TRUE(std::ranges::equal(one, blk(ct))) << "key " << k << " block " << b;
+      c.decrypt_block(blk(ct), one);
+      ASSERT_TRUE(std::ranges::equal(one, blk(pt))) << "key " << k << " block " << b;
+    }
   }
 }
 

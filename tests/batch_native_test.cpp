@@ -4,7 +4,7 @@
 // engines, per-engine state regressions (AEGIS nonce snapshots, DMA page
 // recycling, Gilmont prefetch, GI verified-LRU, integrity tag forwarding),
 // throughput-gain assertions for the newly native engines, and the crypto
-// hot-loop layer (bulk keystream, key-schedule cache).
+// hot-loop layer (bulk keystream, per-instance key expansion).
 
 #include "crypto/aes.hpp"
 #include "edu/gi_edu.hpp"
@@ -471,8 +471,9 @@ TEST(BulkKeystream, GeneratePadsMatchesPerUnitTransform) {
   }
 }
 
-TEST(ScheduleCache, WarmKeysSkipExpansion) {
-  // A private registry instance so counters start clean.
+TEST(BlockBackend, SameKeyMintsIdenticalTransforms) {
+  // Every make_keyed() expands its own core: instances of one key must
+  // still agree byte for byte, and another key must not decrypt.
   const bytes k1(16, 0xA1), k2(16, 0xB2);
   engine::block_backend be(
       "aes-ctr-test", engine::unit_mode::ctr, engine::backend_cost{11, 11, 16, false},
@@ -482,15 +483,9 @@ TEST(ScheduleCache, WarmKeysSkipExpansion) {
       });
 
   const auto a = be.make_keyed(k1);
-  EXPECT_EQ(be.schedule_expansions(), 1u);
-  EXPECT_EQ(be.schedule_hits(), 0u);
-  const auto b = be.make_keyed(k1); // same key: shared expanded core
-  EXPECT_EQ(be.schedule_expansions(), 1u);
-  EXPECT_EQ(be.schedule_hits(), 1u);
+  const auto b = be.make_keyed(k1);
   const auto c = be.make_keyed(k2);
-  EXPECT_EQ(be.schedule_expansions(), 2u);
 
-  // Shared schedule, independent instances: identical transforms.
   bytes x(32);
   fill_store_pattern(0, x);
   bytes ya(32), yb(32);
@@ -500,23 +495,6 @@ TEST(ScheduleCache, WarmKeysSkipExpansion) {
   bytes back(32);
   c->decrypt_unit(5, ya, back);
   EXPECT_NE(back, x) << "different key must not decrypt";
-}
-
-TEST(ScheduleCache, KeyslotReprogramThrashReusesSchedules) {
-  // Two contexts, one slot: every request reprograms the slot, but the
-  // backend's schedule cache means each key expands exactly once.
-  engine::block_backend be(
-      "aes-cbc-test", engine::unit_mode::cbc, engine::backend_cost{11, 11, 16, true},
-      std::vector<std::size_t>{16},
-      [](std::span<const u8> key) -> std::unique_ptr<crypto::block_cipher> {
-        return std::make_unique<crypto::aes>(key);
-      });
-  for (int i = 0; i < 10; ++i) {
-    (void)be.make_keyed(bytes(16, 0x11));
-    (void)be.make_keyed(bytes(16, 0x22));
-  }
-  EXPECT_EQ(be.schedule_expansions(), 2u);
-  EXPECT_EQ(be.schedule_hits(), 18u);
 }
 
 } // namespace

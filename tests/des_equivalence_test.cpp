@@ -23,7 +23,7 @@ bytes random_bytes(rng& r, std::size_t n) {
   return b;
 }
 
-// The chunked schedule must keep the key-schedule LRU cache entry size of
+// The chunked schedule must keep the per-keyslot expanded-key footprint of
 // the packed 16 x u64 format it replaced.
 static_assert(sizeof(des_schedule) == 16 * sizeof(u64),
               "des_schedule must not outgrow the packed 48-bit schedule");
