@@ -2,9 +2,8 @@
 // The shared multi-master scenario of tab8 and tab12: the 4-master cast
 // (CPU compute, two DMA movers, one peripheral poller), its SoC geometry
 // and its arbitration constants. tab8 sweeps this cast over every engine
-// on the flat bus; tab12 keeps the cast's first four masters bit-identical
-// (the compat anchor against BENCH_multimaster.json) and scales the same
-// role pattern up the topology tree.
+// on the flat bus; tab12 scales the same role pattern up the topology
+// tree.
 
 #include "bench_util.hpp"
 

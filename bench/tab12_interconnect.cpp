@@ -1,20 +1,15 @@
 // tab12_interconnect — the topology-first interconnect at scale:
 // hierarchical arbitration, QoS classes and programmable bus firewalls.
 //
-// Four sections, each a claim the exit code enforces:
+// Three sections; containment and reconfig are claims the exit code
+// enforces:
 //
-//  1. compat — the tab8 4-master cast through the deprecated
-//     run_multi_master shim vs an explicit single-cluster run_topology,
-//     every engine x policy. The two stats must be *bit-identical* (same
-//     grant sequence, same cycles, same per-master bytes), and the B/cyc
-//     column is the anchor CI diffs against BENCH_multimaster.json.
-//
-//  2. scaling — the fleet noc cells: {4..64} masters x {flat, 4-cluster}
+//  1. scaling — the fleet noc cells: {4..64} masters x {flat, 4-cluster}
 //     x {QoS off, on} on Stream-OTP and the keyslot engine (the keyslot
 //     cells carry per-master firewall whitelists; in-slice traffic takes
 //     zero denials, so the tables are free).
 //
-//  3. containment — the untrusted-accelerator scenario: a master whose
+//  2. containment — the untrusted-accelerator scenario: a master whose
 //     workload strays outside its whitelist on a heterogeneous SoC (CPU
 //     cluster + DMA + peripheral poller + accelerator). Every stray
 //     access must be an *accounted* denial — 0xFF bus-error fill on
@@ -24,11 +19,11 @@
 //     runs with the firewall attached to show the attack surface is
 //     unchanged.
 //
-//  4. reconfig — rule tables reprogrammed under live traffic: staged by
+//  3. reconfig — rule tables reprogrammed under live traffic: staged by
 //     a grant observer, committed at window boundaries, stage-to-commit
 //     latency measured in simulated cycles.
 //
-// Usage: tab12_interconnect [--policy <name>] [--threads N] [--json FILE]
+// Usage: tab12_interconnect [--threads N] [--json FILE]
 // Emits BENCH_interconnect.json (machine-readable, consumed by CI).
 
 #include "multimaster_cast.hpp"
@@ -42,6 +37,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace {
@@ -54,63 +50,23 @@ using namespace buscrypt;
 struct cli {
   unsigned threads = 0; ///< scaling-fleet pool; 0 = hardware_concurrency
   const char* json_path = "BENCH_interconnect.json";
-  std::vector<sim::arb_policy> policies{std::begin(sim::all_arb_policies),
-                                        std::end(sim::all_arb_policies)};
 };
 
 cli parse(int argc, char** argv) {
   cli c;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--policy") == 0 && i + 1 < argc) {
-      sim::arb_policy p{};
-      if (!sim::parse_arb_policy(argv[++i], p)) {
-        std::fprintf(stderr, "unknown --policy '%s' (", argv[i]);
-        for (const sim::arb_policy q : sim::all_arb_policies)
-          std::fprintf(stderr, "%s%s", q == sim::all_arb_policies[0] ? "" : "|",
-                       std::string(sim::arb_policy_name(q)).c_str());
-        std::fprintf(stderr, ")\n");
-        std::exit(2);
-      }
-      c.policies.assign(1, p);
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       c.threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       c.json_path = argv[++i];
     } else {
       std::fprintf(stderr,
-                   "usage: tab12_interconnect [--seed N] [--policy <name>] [--threads N]"
-                   " [--json FILE]\n");
+                   "usage: tab12_interconnect [--seed N] [--threads N] [--json FILE]\n");
       std::exit(2);
     }
   }
   return c;
 }
-
-/// Bit-equality of two arbiter runs: every deterministic field, aggregate
-/// and per-master. This is the shim-vs-topology equivalence relation.
-bool stats_equal(const sim::arbiter_stats& a, const sim::arbiter_stats& b) {
-  if (a.rounds != b.rounds || a.txns != b.txns || a.bytes != b.bytes ||
-      a.total_cycles != b.total_cycles || a.masters.size() != b.masters.size())
-    return false;
-  for (std::size_t i = 0; i < a.masters.size(); ++i) {
-    const sim::master_stats& x = a.masters[i];
-    const sim::master_stats& y = b.masters[i];
-    if (x.id != y.id || x.txns != y.txns || x.bytes != y.bytes ||
-        x.grants != y.grants || x.service_cycles != y.service_cycles ||
-        x.finish_cycle != y.finish_cycle || x.latency_sum != y.latency_sum ||
-        x.wait_rounds != y.wait_rounds || x.max_wait_streak != y.max_wait_streak)
-      return false;
-  }
-  return true;
-}
-
-struct compat_row {
-  std::string engine;
-  sim::arb_policy policy{};
-  double bytes_per_cycle = 0.0;
-  u64 total_cycles = 0;
-  bool match = false;
-};
 
 struct containment_result {
   bool ok = true;
@@ -332,57 +288,7 @@ int main(int argc, char** argv) {
   const bench::host_timer wall;
   unsigned long long total_txns = 0;
 
-  // --- 1. compat: shim vs explicit topology, bit for bit --------------------
-  const bytes image = bench::firmware_image(64 * 1024, g_seed ^ 0x5EED);
-  std::vector<compat_row> compat;
-  bool compat_ok = true;
-  for (const edu::engine_kind kind : edu::all_engines()) {
-    const auto cast =
-        bench::multimaster_cast(kind == edu::engine_kind::inline_keyslot);
-    for (const sim::arb_policy policy : opt.policies) {
-      const u64 limit =
-          policy == sim::arb_policy::fixed_priority ? bench::kMmStarvationLimit : 0;
-      edu::secure_soc shim_soc(kind, bench::multimaster_soc());
-      shim_soc.load_image(0, image);
-      edu::multi_master_config mm;
-      mm.policy = policy;
-      mm.window_txns = bench::kMmWindowTxns;
-      mm.starvation_limit = limit;
-      const sim::arbiter_stats shim = shim_soc.run_multi_master(cast, mm);
-
-      edu::secure_soc topo_soc(kind, bench::multimaster_soc());
-      topo_soc.load_image(0, image);
-      const sim::topology topo(
-          sim::arbiter_config{policy, bench::kMmWindowTxns, limit});
-      const sim::arbiter_stats via_topo = topo_soc.run_topology(cast, topo).noc.bus;
-
-      compat_row row;
-      row.engine = std::string(edu::engine_name(kind));
-      row.policy = policy;
-      row.bytes_per_cycle = shim.bytes_per_cycle();
-      row.total_cycles = shim.total_cycles;
-      row.match = stats_equal(shim, via_topo);
-      if (!row.match) {
-        compat_ok = false;
-        std::fprintf(stderr, "COMPAT MISMATCH %s/%s: shim != 1-cluster topology\n",
-                     row.engine.c_str(),
-                     std::string(sim::arb_policy_name(policy)).c_str());
-      }
-      total_txns += shim.txns + via_topo.txns;
-      compat.push_back(std::move(row));
-    }
-  }
-  {
-    table t({"engine", "policy", "B/cyc x4", "cycles", "shim==topo"});
-    for (const compat_row& row : compat)
-      t.add_row({row.engine, std::string(sim::arb_policy_name(row.policy)),
-                 table::num(row.bytes_per_cycle, 4),
-                 table::num(static_cast<unsigned long long>(row.total_cycles)),
-                 row.match ? "yes" : "NO"});
-    std::printf("%s\n", t.str().c_str());
-  }
-
-  // --- 2. scaling: masters x shape x QoS on the fleet noc cells -------------
+  // --- 1. scaling: masters x shape x QoS on the fleet noc cells -------------
   fleet::fleet_config scfg;
   for (const edu::engine_kind kind :
        {edu::engine_kind::stream_otp, edu::engine_kind::inline_keyslot})
@@ -411,7 +317,7 @@ int main(int argc, char** argv) {
     std::printf("%s\n", t.str().c_str());
   }
 
-  // --- 3 + 4. containment and live reconfiguration --------------------------
+  // --- 2 + 3. containment and live reconfiguration --------------------------
   containment_result cont = run_containment();
   std::printf("containment: accel %llu/%llu spans denied (rule hits %llu, rule "
               "denies %llu), engine count %llu, secret %s, fill %s, sentinel "
@@ -439,23 +345,11 @@ int main(int argc, char** argv) {
   const double total_ms = wall.ms();
   std::fprintf(json,
                "{\n  \"bench\": \"tab12_interconnect\",\n"
+               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
                "  \"host_ms\": %.1f,\n  \"host_ops_per_sec\": %.0f,\n"
-               "  \"compat_ok\": %s,\n  \"compat\": [\n",
-               total_ms, bench::host_ops_per_sec(total_txns, total_ms),
-               compat_ok ? "true" : "false");
-  for (std::size_t i = 0; i < compat.size(); ++i) {
-    const compat_row& row = compat[i];
-    std::fprintf(json,
-                 "    {\"engine\": \"%s\", \"policy\": \"%s\", "
-                 "\"bytes_per_cycle\": %.6f, \"total_cycles\": %llu, "
-                 "\"match\": %s}%s\n",
-                 row.engine.c_str(),
-                 std::string(sim::arb_policy_name(row.policy)).c_str(),
-                 row.bytes_per_cycle,
-                 static_cast<unsigned long long>(row.total_cycles),
-                 row.match ? "true" : "false", i + 1 == compat.size() ? "" : ",");
-  }
-  std::fprintf(json, "  ],\n  \"scaling\": [\n");
+               "  \"scaling\": [\n",
+               scaling.pool.threads, std::thread::hardware_concurrency(), total_ms,
+               bench::host_ops_per_sec(total_txns, total_ms));
   for (std::size_t i = 0; i < scaling.cells.size(); ++i) {
     const fleet::fleet_cell& cell = scfg.cells[i];
     const fleet::cell_result& c = scaling.cells[i];
@@ -496,7 +390,7 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf("wrote %s\n", opt.json_path);
 
-  if (!compat_ok || !cont.ok) {
+  if (!cont.ok) {
     std::fprintf(stderr, "tab12_interconnect: FAILED\n");
     return 1;
   }

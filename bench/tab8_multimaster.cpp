@@ -6,8 +6,9 @@
 // one external bus the EDU protects. This bench generalises tab7's
 // single-stream throughput view: N masters (CPU compute, DMA bulk copies,
 // peripheral polling — the shared cast in multimaster_cast.hpp) are
-// time-multiplexed onto every engine under round-robin and fixed-priority
-// (with aging) policies. Aggregate bytes/cycle shows how far each engine's
+// time-multiplexed onto every engine over a flat bus (a one-cluster
+// sim::topology driven by secure_soc::run_topology) under round-robin and
+// fixed-priority (with aging) policies. Aggregate bytes/cycle shows how far each engine's
 // crypto datapath scales as bandwidth-bound masters join; per-master
 // average latency and starvation streaks show what each policy costs the
 // others. On the keyslot engine the DMA masters run inside private
@@ -90,14 +91,13 @@ int main(int argc, char** argv) {
       for (std::size_t n = 1; n <= cast.size(); ++n) {
         edu::secure_soc soc(kind, bench::multimaster_soc());
         soc.load_image(0, image);
-        edu::multi_master_config mm;
-        mm.policy = policy;
-        mm.window_txns = bench::kMmWindowTxns;
-        mm.starvation_limit = policy == sim::arb_policy::fixed_priority
-                                  ? bench::kMmStarvationLimit
-                                  : 0;
+        const u64 limit = policy == sim::arb_policy::fixed_priority
+                              ? bench::kMmStarvationLimit
+                              : 0;
         const std::vector<edu::master_desc> subset(cast.begin(), cast.begin() + n);
-        pr.runs.push_back({n, soc.run_multi_master(subset, mm)});
+        const sim::topology flat(
+            sim::arbiter_config{policy, bench::kMmWindowTxns, limit});
+        pr.runs.push_back({n, soc.run_topology(subset, flat).noc.bus});
         total_txns += pr.runs.back().stats.txns;
       }
       er.policies.push_back(std::move(pr));

@@ -13,7 +13,6 @@
 #include "engine/eviction_policy.hpp"
 #include "engine/memory_authenticator.hpp"
 #include "sim/bus.hpp"
-#include "sim/bus_arbiter.hpp"
 #include "sim/cache.hpp"
 #include "sim/cpu.hpp"
 #include "sim/interconnect.hpp"
@@ -106,7 +105,7 @@ enum class master_kind : u8 { cpu, dma, peripheral };
 /// One master of a multi-master run: who it is, what it issues, and how
 /// the arbiter and the engine's protection domains should treat it.
 /// Master ids are assigned by position in the span handed to
-/// run_multi_master (index 0 = sim::cpu_master).
+/// run_topology (index 0 = sim::cpu_master).
 struct master_desc {
   master_kind role = master_kind::cpu;
   std::string name;      ///< display name; role default when empty
@@ -122,16 +121,6 @@ struct master_desc {
   /// stays on the shared mapping — for every non-keyslot engine.
   addr_t domain_base = 0;
   std::size_t domain_len = 0;
-};
-
-/// Arbitration knobs of a multi-master run (see sim::arbiter_config).
-/// \deprecated The legacy flat-bus shape: run_multi_master turns it into a
-/// single-cluster sim::topology, which takes the bit-identical grant
-/// sequence. New code should build a topology and call run_topology.
-struct multi_master_config {
-  sim::arb_policy policy = sim::arb_policy::round_robin;
-  std::size_t window_txns = 8;
-  u64 starvation_limit = 0; ///< fixed-priority aging bound; 0 = strict
 };
 
 /// What one topology run measured: the interconnect view (tree, QoS,
@@ -174,10 +163,6 @@ struct soc_config {
   /// context churn; the datapath bytes are policy-invariant.
   engine::slot_policy keyslot_policy = engine::slot_policy::lru;
   unsigned keyslot_slots = 0;
-  /// Interconnect shape for run_topology(masters): clusters, QoS classes
-  /// and firewall rule tables. The default (no clusters, no tables) is
-  /// the flat PR 3 bus, bit-for-bit.
-  sim::topology topology{};
 };
 
 /// The assembled system. Owns every component; wiring depends on the
@@ -204,42 +189,30 @@ class secure_soc {
   [[nodiscard]] sim::throughput_stats run_throughput(const sim::workload& w,
                                                      std::size_t batch_txns);
 
-  /// Drive the engine as a shared multi-master interconnect: each
-  /// descriptor becomes a sim::bus_master (id = its index) whose stream
-  /// is lowered at its chunk granularity, and a flat arbiter
-  /// time-multiplexes their windows onto the EDU under \p mm's policy.
-  /// Bus beats are tagged with the granted master's id; on the keyslot
-  /// engine, descriptors with domain_len > 0 get private per-master
-  /// protection domains (own derived key) for the duration of the run.
-  /// Like run_throughput, the stream bypasses the L1 (which is written
-  /// back and invalidated on entry).
-  /// \deprecated Compatibility shim over run_topology: builds the
-  /// single-cluster topology of \p mm and returns the flat stats view.
-  [[nodiscard]] sim::arbiter_stats run_multi_master(std::span<const master_desc> masters,
-                                                    const multi_master_config& mm = {});
-
   /// Called at every grant while a topology run is live: the granted
   /// master's id plus the interconnect itself, so callers can stage
   /// firewall reprograms (interconnect::reprogram_firewall) or read live
   /// counters under traffic.
   using grant_observer = std::function<void(sim::interconnect&, sim::master_id)>;
 
-  /// The topology-first driver: like run_multi_master, but the masters
-  /// are arbitrated by the tree \p topo declares (clusters, QoS classes)
-  /// and each master's firewall rule table is enforced by the engine
-  /// *before* its protection-domain map. Masters bind to topology slots
-  /// by index-id; undeclared indices join cluster 0. On the keyslot
-  /// engine the firewall is attached only when \p topo programs at least
-  /// one table, so a table-free topology is cycle-identical to the flat
-  /// run. Returns the interconnect stats plus the run's firewall and
-  /// per-master domain accounting.
+  /// Drive the engine as a shared multi-master interconnect: each
+  /// descriptor becomes a sim::bus_master (id = its index) whose stream
+  /// is lowered at its chunk granularity, and the tree \p topo declares
+  /// (clusters, QoS classes) time-multiplexes their windows onto the EDU;
+  /// a flat bus is sim::topology(sim::arbiter_config{...}). Masters bind
+  /// to topology slots by index-id; undeclared indices join cluster 0.
+  /// Bus beats are tagged with the granted master's id; on the keyslot
+  /// engine, descriptors with domain_len > 0 get private per-master
+  /// protection domains (own derived key) for the duration of the run,
+  /// and each master's firewall rule table is enforced *before* its
+  /// protection-domain map. The firewall is attached only when \p topo
+  /// programs at least one table, so a table-free topology never pays
+  /// for it. Like run_throughput, the stream bypasses the L1 (which is
+  /// written back and invalidated on entry). Returns the interconnect
+  /// stats plus the run's firewall and per-master domain accounting.
   [[nodiscard]] topology_run_stats run_topology(std::span<const master_desc> masters,
                                                 const sim::topology& topo,
                                                 const grant_observer& observe = {});
-  /// run_topology over the topology carried in soc_config.
-  [[nodiscard]] topology_run_stats run_topology(std::span<const master_desc> masters) {
-    return run_topology(masters, cfg_.topology);
-  }
 
   /// Write all dirty state (cache lines, page buffers) back to DRAM.
   void flush();
@@ -259,7 +232,7 @@ class secure_soc {
 
  private:
   /// Entry discipline shared by the direct-transaction drivers
-  /// (run_throughput, run_multi_master): the txn streams bypass the L1,
+  /// (run_throughput, run_topology): the txn streams bypass the L1,
   /// so write back any dirty lines a prior run() left behind (so a later
   /// flush() cannot clobber this run's data) and drop the rest, so a
   /// later run() refetches what this run rewrites; ditto the secure-DMA

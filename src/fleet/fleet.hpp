@@ -91,8 +91,8 @@ struct fleet_cell {
   // noc drive only (every other drive ignores all four): the interconnect
   // shape. The heterogeneous cast (CPU compute, DMA movers, peripheral
   // pollers — see noc_cast) partitions the footprint; noc_clusters == 0
-  // is the flat implicit cluster (run_multi_master-equivalent), >= 1
-  // deals the masters round-robin into that many explicit clusters.
+  // is the flat implicit cluster (tab8's flat bus), >= 1 deals the
+  // masters round-robin into that many explicit clusters.
   std::size_t noc_masters = 4;
   std::size_t noc_clusters = 0;
   bool noc_qos = false;      ///< role-derived QoS classes (dma bulk, periph latency)

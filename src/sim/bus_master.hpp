@@ -54,7 +54,7 @@ struct master_stats {
 };
 
 /// One master's request stream plus the staging buffer its in-flight
-/// window lives in. Referenced (not owned) by bus_arbiter.
+/// window lives in. Referenced (not owned) by sim::interconnect.
 class bus_master {
  public:
   /// From pre-lowered port operations (addresses chunk-aligned).

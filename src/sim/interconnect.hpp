@@ -3,7 +3,8 @@
 /// Topology-first interconnect: a declarative description of the SoC's
 /// master fabric (clusters of masters, QoS classes, per-master firewall
 /// rule tables) instantiated as a tree of per-cluster arbiters feeding a
-/// root arbiter onto the one shared downstream port (the EDU).
+/// root arbiter onto the one shared downstream port (the EDU). This module
+/// owns every arbitration decision of the simulator.
 ///
 ///                   root arbiter ──► EDU ──► bus/DRAM
 ///                 ┌───────┴────────┐
@@ -11,18 +12,25 @@
 ///           ┌────┼────┐      ┌────┼────┐
 ///          m0   m1   m2     m3   m4   m5         (bus_master streams)
 ///
-/// A topology with one cluster is *bit-identical* to the flat PR 3
-/// bus_arbiter: the root has a single child, so every grant decision is
-/// the cluster's, taken by the same policy code over the same master
-/// order — which is how the multi_master_config shim keeps the committed
-/// tab8 numbers unchanged.
+/// Each grant hands the winning master a window of `window_txns`
+/// transactions, submitted as one batch — so everything the transaction
+/// pipeline already models (multi-bank DRAM overlap, keystream parallel
+/// to the fetch) composes per window — and the windows of different
+/// masters interleave on the shared path exactly as bursts of an AHB/AXI
+/// arbiter would.
+///
+/// A flat bus is the topology with one cluster: the root has a single
+/// child, so every grant decision is the cluster's policy over the
+/// masters in bind order. `topology(arbiter_config{...})` with no declared
+/// clusters builds exactly that shape, and the committed tab8 numbers are
+/// its regression baseline.
 ///
 /// QoS classes add bandwidth reservation and starvation aging *per class*
 /// on top of the per-node policy: at each node, classes with pending work
 /// are served weighted-round-robin by their reserved share (credits), and
 /// a class whose pending children have waited past its aging limit
 /// pre-empts the credit choice. With no class assigned (all
-/// qos_class::none) the arbitration is exactly the legacy policy path.
+/// qos_class::none) the arbitration is exactly the plain policy path.
 ///
 /// Firewalls: each master may carry an ordered rule table (firewall.hpp)
 /// checked by the engine *before* its protection-domain map. Tables are
@@ -31,8 +39,9 @@
 /// in-flight window finishes under the old rules and the next window sees
 /// the new ones — reconfiguration latency is measured and reported.
 
-#include "sim/bus_arbiter.hpp"
+#include "sim/bus_master.hpp"
 #include "sim/firewall.hpp"
+#include "sim/memory_port.hpp"
 
 #include <array>
 #include <functional>
@@ -42,6 +51,63 @@
 #include <vector>
 
 namespace buscrypt::sim {
+
+/// Grant policy of a node, the classic pair:
+///  - round_robin: rotate among children with pending work. Fair by
+///    construction — no child waits more than (children - 1) rounds.
+///  - fixed_priority: highest priority wins every round. Latency-optimal
+///    for the favoured child and starvation-prone for everyone else;
+///    `starvation_limit` adds aging — a child skipped that many
+///    consecutive rounds pre-empts priority. Starved children drain one
+///    per round (longest streak first), so the worst-case streak is
+///    starvation_limit + children − 2, not the limit itself. 0 keeps
+///    strict priority (unbounded).
+enum class arb_policy : u8 {
+  round_robin,    ///< rotate among pending masters (fair, bounded wait)
+  fixed_priority, ///< highest bus_master_config::priority wins (starvation-prone)
+};
+
+[[nodiscard]] constexpr std::string_view arb_policy_name(arb_policy p) noexcept {
+  switch (p) {
+    case arb_policy::round_robin: return "round-robin";
+    case arb_policy::fixed_priority: return "fixed-priority";
+  }
+  return "?";
+}
+
+/// Parse an arb_policy from its arb_policy_name() spelling. Returns false
+/// (and leaves \p out untouched) on an unknown name.
+[[nodiscard]] bool parse_arb_policy(std::string_view name, arb_policy& out) noexcept;
+
+inline constexpr arb_policy all_arb_policies[] = {arb_policy::round_robin,
+                                                  arb_policy::fixed_priority};
+
+struct arbiter_config {
+  arb_policy policy = arb_policy::round_robin;
+  std::size_t window_txns = 8; ///< transactions per granted bus window
+  /// fixed_priority only: a master that has waited this many consecutive
+  /// rounds with pending work pre-empts priority (aging). When several
+  /// masters starve at once they are served longest-streak-first, one
+  /// per round, so a streak can overshoot by up to masters − 2 rounds.
+  /// 0 = strict priority, unbounded starvation.
+  u64 starvation_limit = 0;
+};
+
+/// What one multi-master run measured. Aggregate throughput is
+/// bytes/total_cycles; fairness shows up in the per-master breakdown.
+struct arbiter_stats {
+  u64 rounds = 0;        ///< grant decisions taken
+  u64 txns = 0;          ///< transactions carried, all masters
+  u64 bytes = 0;         ///< payload bytes moved, all masters
+  cycles total_cycles = 0;
+  std::vector<master_stats> masters; ///< one entry per master, bind order
+
+  [[nodiscard]] double bytes_per_cycle() const noexcept {
+    return total_cycles == 0
+               ? 0.0
+               : static_cast<double>(bytes) / static_cast<double>(total_cycles);
+  }
+};
 
 /// Service class of a master (or a whole cluster) under QoS arbitration.
 enum class qos_class : u8 {
@@ -60,10 +126,6 @@ enum class qos_class : u8 {
   }
   return "?";
 }
-
-/// Parse a qos_class from its qos_class_name() spelling. Returns false
-/// (and leaves \p out untouched) on an unknown name.
-[[nodiscard]] bool parse_qos_class(std::string_view name, qos_class& out) noexcept;
 
 inline constexpr std::array<qos_class, 4> all_qos_classes = {
     qos_class::none, qos_class::bulk, qos_class::latency, qos_class::realtime};
@@ -100,14 +162,14 @@ struct cluster_config {
 /// The declarative builder: clusters, master slots, QoS assignments and
 /// firewall rules. Pure description — nothing is instantiated until an
 /// interconnect is built from it, so one topology can configure many runs
-/// (it is the shape axis of soc_config and the fleet cells).
+/// (it is the shape argument of secure_soc::run_topology and the fleet
+/// cells).
 class topology {
  public:
   topology() = default;
   /// \p root arbitrates among the clusters (its window_txns is unused —
   /// windows are staged per cluster). A topology with no clusters gets an
-  /// implicit single cluster inheriting \p root, which is the flat
-  /// bus_arbiter shim.
+  /// implicit single cluster inheriting \p root: the flat bus.
   explicit topology(arbiter_config root) : root_(root) {}
 
   /// Add a cluster; masters attach to it by the returned id.
@@ -184,8 +246,8 @@ struct qos_class_stats {
   u64 max_streak = 0; ///< longest pending-class wait at any node
 };
 
-/// What one interconnect run measured: the flat arbiter_stats view (so
-/// every tab8 consumer keeps working) plus the tree/QoS/reconfig layers.
+/// What one interconnect run measured: the whole-bus arbiter_stats view
+/// (what tab8 reports) plus the tree/QoS/reconfig layers.
 struct interconnect_stats {
   arbiter_stats bus; ///< aggregate + per-master, master bind order
   std::vector<cluster_stats> clusters;
@@ -197,8 +259,8 @@ struct interconnect_stats {
 
 /// The reusable arbitration node: one grant decision among N children
 /// (masters at a cluster node, clusters at the root) under a policy, with
-/// optional per-class QoS on top. bus_arbiter::run and every tree level
-/// share this code, so flat and 1-cluster arbitration cannot drift.
+/// optional per-class QoS on top. Every tree level shares this code, so
+/// the flat bus and a clustered tree use one policy implementation.
 class arb_node {
  public:
   struct child {
@@ -218,8 +280,8 @@ class arb_node {
   [[nodiscard]] u64 class_max_streak(qos_class c) const noexcept;
 
  private:
-  /// The legacy policy decision (bit-identical to the PR 3 bus_arbiter),
-  /// restricted to children of class \p cls when cls >= 0.
+  /// The plain policy decision (arb_policy), restricted to children of
+  /// class \p cls when cls >= 0.
   [[nodiscard]] int pick_policy(std::span<const child> kids, int cls);
 
   arbiter_config cfg_;
@@ -235,7 +297,7 @@ class arb_node {
 
 /// The instantiated tree. Owns the firewall and the topology copy, not
 /// the port or the masters; drives the whole contention to completion in
-/// run(), exactly as bus_arbiter does for the flat case.
+/// run().
 class interconnect {
  public:
   /// \throws std::invalid_argument when the topology's root window size
@@ -248,7 +310,8 @@ class interconnect {
   void add_master(bus_master& m);
 
   /// Called with the winning master's id at each grant, before its window
-  /// is submitted (see bus_arbiter::set_grant_hook); restored to
+  /// is submitted — the hook external_memory attribution uses to tag
+  /// scalar-path beats (see external_memory::set_master); restored to
   /// cpu_master on every exit from run().
   void set_grant_hook(std::function<void(master_id)> hook);
 

@@ -247,7 +247,7 @@ TEST(KeyslotPolicySweep, MultiMasterDomainStormIsPolicyInvariant) {
 
     edu::secure_soc soc(edu::engine_kind::inline_keyslot, cfg);
     soc.load_image(0, image);
-    (void)soc.run_multi_master(scenario, {});
+    (void)soc.run_topology(scenario, sim::topology{});
     soc.flush();
 
     const engine::engine_stats& es =

@@ -85,11 +85,6 @@ TEST(InterconnectParse, HelperPairsRoundTripEveryName) {
     EXPECT_TRUE(parse_arb_policy(arb_policy_name(p), out));
     EXPECT_EQ(out, p);
   }
-  for (const qos_class c : all_qos_classes) {
-    qos_class out = qos_class::none;
-    EXPECT_TRUE(parse_qos_class(qos_class_name(c), out));
-    EXPECT_EQ(out, c);
-  }
   for (const fw_perm p : all_fw_perms) {
     fw_perm out = fw_perm::none;
     EXPECT_TRUE(parse_fw_perm(fw_perm_name(p), out));
@@ -111,11 +106,6 @@ TEST(InterconnectParse, UnknownNamesAreRejectedAndLeaveOutUntouched) {
   arb_policy ap = arb_policy::fixed_priority;
   EXPECT_FALSE(parse_arb_policy("token-ring", ap));
   EXPECT_EQ(ap, arb_policy::fixed_priority);
-
-  qos_class qc = qos_class::realtime;
-  EXPECT_FALSE(parse_qos_class("best-effort", qc));
-  EXPECT_FALSE(parse_qos_class("", qc));
-  EXPECT_EQ(qc, qos_class::realtime);
 
   fw_perm fp = fw_perm::w;
   EXPECT_FALSE(parse_fw_perm("rwx", fp));
@@ -155,8 +145,7 @@ TEST(InterconnectTopology, BindingsAreValidatedAndFlatClusterIsImplicit) {
   EXPECT_THROW((void)interconnect(port, topology({arb_policy::round_robin, 0, 0})),
                std::invalid_argument);
 
-  // A topology with no clusters gets the implicit flat "bus" cluster — the
-  // bus_arbiter compatibility shape.
+  // A topology with no clusters gets the implicit flat "bus" cluster.
   interconnect ic(port, topology({arb_policy::round_robin, 4, 0}));
   ASSERT_EQ(ic.topo().clusters().size(), 1u);
   EXPECT_EQ(ic.topo().clusters()[0].name, "bus");
@@ -466,50 +455,6 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, InterconnectSweep,
                          });
 
 // --- the soc-level topology driver -------------------------------------------
-
-std::vector<edu::master_desc> small_cast() {
-  std::vector<edu::master_desc> cast(3);
-  cast[0].role = edu::master_kind::cpu;
-  cast[0].work = make_data_rw(1200, 64 * 1024, 0.35, 0.3, 4, 11);
-  cast[0].priority = 1;
-  cast[1].role = edu::master_kind::dma;
-  cast[1].work = make_dma_copy(16 * 1024, 2u << 20, (2u << 20) + (1u << 19), 128, 12);
-  cast[1].priority = 3;
-  cast[2].role = edu::master_kind::peripheral;
-  cast[2].work = make_peripheral_poll(400, 3u << 20, 4, 64, 8, 13);
-  cast[2].priority = 2;
-  return cast;
-}
-
-TEST(InterconnectSoc, RunTopologyMatchesTheDeprecatedFlatShim) {
-  const std::vector<edu::master_desc> cast = small_cast();
-  edu::multi_master_config mm;
-  mm.policy = arb_policy::fixed_priority;
-  mm.window_txns = 8;
-  mm.starvation_limit = 4;
-
-  edu::secure_soc legacy(engine_kind::inline_keyslot, {});
-  legacy.load_image(0, bytes(64 * 1024, 0x5A));
-  const arbiter_stats flat = legacy.run_multi_master(cast, mm);
-
-  edu::secure_soc topo(engine_kind::inline_keyslot, {});
-  topo.load_image(0, bytes(64 * 1024, 0x5A));
-  const edu::topology_run_stats tree = topo.run_topology(
-      cast, topology({mm.policy, mm.window_txns, mm.starvation_limit}));
-
-  EXPECT_EQ(flat.rounds, tree.noc.bus.rounds);
-  EXPECT_EQ(flat.txns, tree.noc.bus.txns);
-  EXPECT_EQ(flat.bytes, tree.noc.bus.bytes);
-  EXPECT_EQ(flat.total_cycles, tree.noc.bus.total_cycles);
-  ASSERT_EQ(flat.masters.size(), tree.noc.bus.masters.size());
-  for (std::size_t i = 0; i < flat.masters.size(); ++i) {
-    EXPECT_EQ(flat.masters[i].grants, tree.noc.bus.masters[i].grants) << i;
-    EXPECT_EQ(flat.masters[i].finish_cycle, tree.noc.bus.masters[i].finish_cycle) << i;
-    EXPECT_EQ(flat.masters[i].latency_sum, tree.noc.bus.masters[i].latency_sum) << i;
-    EXPECT_EQ(flat.masters[i].wait_rounds, tree.noc.bus.masters[i].wait_rounds) << i;
-  }
-  EXPECT_EQ(tree.sentinel_denials, 0u);
-}
 
 TEST(InterconnectSoc, RunTopologySurfacesFirewallAndDomainAccounting) {
   // A whitelisted "accelerator" whose rule covers only half of its working

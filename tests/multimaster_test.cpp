@@ -1,14 +1,13 @@
-// Multi-master interconnect: bus_master/bus_arbiter policies and
-// accounting, per-master protection domains in the keyslot engine
-// (denied-access fault path, slot-pool sharing), mixed-master workload
-// generators, soc::run_multi_master solo-vs-concurrent equivalence, and
+// Multi-master interconnect: flat-bus grant policies and accounting,
+// per-master protection domains in the keyslot engine (denied-access
+// fault path, slot-pool sharing), mixed-master workload generators,
+// soc::run_topology solo-vs-concurrent equivalence on the flat bus, and
 // per-master bus-beat attribution.
 
 #include "attack/trace_analysis.hpp"
 #include "edu/soc.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "sim/bus.hpp"
-#include "sim/bus_arbiter.hpp"
 #include "sim/bus_master.hpp"
 #include "sim/interconnect.hpp"
 #include "sim/workload.hpp"
@@ -131,23 +130,8 @@ TEST(OffsetWorkload, ShiftsEveryAccess) {
 }
 
 // --- arbiter: grant policies and accounting ----------------------------------
-// These run through the topology-first interconnect (a topology with no
-// clusters is the flat bus); one deliberate shim test below keeps the
-// deprecated bus_arbiter constructor honest.
-
-TEST(Arbiter, RejectsBadConfigAndDuplicateIds) {
-  fixed_latency_port port(4096, 10);
-  EXPECT_THROW(interconnect(port, topology({arb_policy::round_robin, 0, 0})),
-               std::invalid_argument);
-  interconnect ic(port, topology({arb_policy::round_robin, 4, 0}));
-  bus_master a(master_cfg(1, "a", 0), read_stream(0, 8, 32));
-  bus_master b(master_cfg(1, "b", 0), read_stream(0, 8, 32));
-  ic.add_master(a);
-  EXPECT_THROW(ic.add_master(b), std::invalid_argument);
-  // The reserved sentinel can never become a real master on the bus.
-  bus_master forged(master_cfg(any_master, "forged", 0), read_stream(0, 8, 32));
-  EXPECT_THROW(ic.add_master(forged), std::invalid_argument);
-}
+// These run through the interconnect on a topology with no clusters: the
+// flat bus.
 
 TEST(Arbiter, RoundRobinSharesGrantsAndBoundsWaiting) {
   fixed_latency_port port(1 << 16, 10);
@@ -238,44 +222,6 @@ TEST(Arbiter, CompletionStampsAreMonotonePerMaster) {
   EXPECT_GT(st.masters[0].avg_txn_latency(), 0.0);
   EXPECT_LT(st.masters[0].avg_txn_latency(),
             static_cast<double>(st.total_cycles));
-}
-
-TEST(Arbiter, DeprecatedConstructorIsABitExactShim) {
-  // The one deliberate direct use of the deprecated flat API: bus_arbiter
-  // must take the identical grant sequence as the topology it desugars to.
-  const auto run_flat = [&](bool deprecated_api) {
-    fixed_latency_port port(1 << 16, 10);
-    bus_master a(master_cfg(0, "a", 2), read_stream(0, 32, 32));
-    bus_master b(master_cfg(1, "b", 9), read_stream(8192, 16, 32));
-    bus_master c(master_cfg(2, "c", 1), read_stream(16384, 48, 32));
-    const arbiter_config cfg{arb_policy::fixed_priority, 4, 3};
-    if (deprecated_api) {
-      bus_arbiter arb(port, cfg);
-      arb.add_master(a);
-      arb.add_master(b);
-      arb.add_master(c);
-      return arb.run();
-    }
-    interconnect ic(port, topology(cfg));
-    ic.add_master(a);
-    ic.add_master(b);
-    ic.add_master(c);
-    return ic.run().bus;
-  };
-  const arbiter_stats shim = run_flat(true);
-  const arbiter_stats topo = run_flat(false);
-  ASSERT_EQ(shim.masters.size(), topo.masters.size());
-  EXPECT_EQ(shim.rounds, topo.rounds);
-  EXPECT_EQ(shim.txns, topo.txns);
-  EXPECT_EQ(shim.bytes, topo.bytes);
-  EXPECT_EQ(shim.total_cycles, topo.total_cycles);
-  for (std::size_t i = 0; i < shim.masters.size(); ++i) {
-    EXPECT_EQ(shim.masters[i].grants, topo.masters[i].grants);
-    EXPECT_EQ(shim.masters[i].finish_cycle, topo.masters[i].finish_cycle);
-    EXPECT_EQ(shim.masters[i].latency_sum, topo.masters[i].latency_sum);
-    EXPECT_EQ(shim.masters[i].wait_rounds, topo.masters[i].wait_rounds);
-    EXPECT_EQ(shim.masters[i].max_wait_streak, topo.masters[i].max_wait_streak);
-  }
 }
 
 // --- per-master protection domains in the keyslot engine ---------------------
@@ -524,7 +470,7 @@ TEST(ProtectionDomains, BindDomainValidatesOwnerAndContext) {
   EXPECT_THROW(rig.eng.bind_domain(3, 0, 64, 99), std::out_of_range);
 }
 
-// --- soc::run_multi_master ----------------------------------------------------
+// --- soc::run_topology on the flat bus ----------------------------------------
 
 edu::soc_config mm_cfg(unsigned banks) {
   edu::soc_config cfg;
@@ -582,7 +528,7 @@ TEST_P(MultiMasterEquivalence, EachMasterMatchesItsSoloRun) {
 
   edu::secure_soc multi(GetParam(), cfg);
   multi.load_image(0, image);
-  const arbiter_stats st = multi.run_multi_master(scenario, {});
+  const arbiter_stats st = multi.run_topology(scenario, topology{}).noc.bus;
   multi.flush();
   ASSERT_EQ(st.masters.size(), 3u);
   EXPECT_GT(st.txns, 100u);
@@ -593,7 +539,7 @@ TEST_P(MultiMasterEquivalence, EachMasterMatchesItsSoloRun) {
     solo.load_image(0, image);
     const std::vector<edu::master_desc> one(scenario.begin() + i,
                                             scenario.begin() + i + 1);
-    (void)solo.run_multi_master(one, {});
+    (void)solo.run_topology(one, topology{});
     solo.flush();
 
     const std::span<const u8> dm = multi.memory().raw().subspan(ranges[i].base,
@@ -621,10 +567,8 @@ double aggregate_bpc(engine_kind kind, std::size_t n_masters, arb_policy policy)
                                              scenario.begin() + n_masters);
   edu::secure_soc soc(kind, mm_cfg(8));
   soc.load_image(0, bytes(64 * 1024, 0x5A));
-  edu::multi_master_config mm;
-  mm.policy = policy;
-  mm.starvation_limit = policy == arb_policy::fixed_priority ? 16 : 0;
-  return soc.run_multi_master(subset, mm).bytes_per_cycle();
+  const u64 limit = policy == arb_policy::fixed_priority ? 16 : 0;
+  return soc.run_topology(subset, topology({policy, 8, limit})).bytes_per_cycle();
 }
 
 TEST(MultiMasterThroughput, DmaMasterRaisesAggregateForOverlapEngines) {
@@ -651,10 +595,9 @@ TEST(MultiMasterLatency, PriorityShieldsThePeripheral) {
   auto periph_latency = [&](arb_policy policy) {
     edu::secure_soc soc(engine_kind::stream_otp, mm_cfg(8));
     soc.load_image(0, bytes(64 * 1024, 0x5A));
-    edu::multi_master_config mm;
-    mm.policy = policy;
-    mm.starvation_limit = policy == arb_policy::fixed_priority ? 64 : 0;
-    const arbiter_stats st = soc.run_multi_master(scenario, mm);
+    const u64 limit = policy == arb_policy::fixed_priority ? 64 : 0;
+    const arbiter_stats st =
+        soc.run_topology(scenario, topology({policy, 8, limit})).noc.bus;
     return st.masters[2].avg_txn_latency();
   };
   // The peripheral has the highest priority: fixed-priority arbitration
@@ -668,7 +611,7 @@ TEST(MultiMasterDomains, PerMasterKeysChangeTheCiphertext) {
   auto dst_bytes = [&](bool domains) {
     edu::secure_soc soc(engine_kind::inline_keyslot, cfg);
     soc.load_image(0, bytes(16 * 1024, 0x11));
-    (void)soc.run_multi_master(mixed_scenario(domains), {});
+    (void)soc.run_topology(mixed_scenario(domains), topology{});
     soc.flush();
     const auto raw = soc.memory().raw().subspan(kDmaDst, kDmaBytes);
     return bytes(raw.begin(), raw.end());
@@ -685,7 +628,7 @@ TEST(BeatAttribution, ProbeSeparatesTheMastersStreams) {
   soc.attach_probe(probe);
   soc.load_image(0, bytes(64 * 1024, 0x22));
   probe.clear(); // drop install traffic; observe only the contended run
-  (void)soc.run_multi_master(mixed_scenario(false), {});
+  (void)soc.run_topology(mixed_scenario(false), topology{});
 
   const auto ids = attack::masters_in_trace(probe);
   ASSERT_EQ(ids.size(), 3u);
