@@ -202,15 +202,24 @@ cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_ke
   cycles t = 0;
   // Whole-unit prefix in one bulk call: the backend sees the entire run
   // (bitsliced DES, batched ESSIV IVs, windowed CTR pads) instead of one
-  // unit at a time. Charging is per full unit with the same formula as the
-  // scalar loop below, so simulated cycles are bit-identical.
+  // unit at a time. A pad-precomputable backend needs only the DUNs, so
+  // its run is one generate_pads keystream XORed in u64-wide. Charging is
+  // per full unit with the same formula as the scalar loop below, so
+  // simulated cycles are bit-identical.
   std::size_t off = 0;
   const std::size_t whole =
       unit_base % du == 0 ? buf.size() - buf.size() % du : 0;
   if (whole != 0) {
     std::span<u8> run = buf.first(whole);
-    if (encrypt) kc.encrypt_units(unit_base / du, du, run, run);
-    else kc.decrypt_units(unit_base / du, du, run, run);
+    if (kc.pad_precomputable()) {
+      bytes pad(whole);
+      kc.generate_pads(unit_base / du, du, pad);
+      xor_bytes(run, pad);
+    } else if (encrypt) {
+      kc.encrypt_units(unit_base / du, du, run, run);
+    } else {
+      kc.decrypt_units(unit_base / du, du, run, run);
+    }
     off = whole;
     if (charge) {
       const cycles n = static_cast<cycles>(whole / du);
@@ -238,26 +247,43 @@ cycles bus_encryption_engine::transform_units(keyed_cipher& kc, const keyslot_ke
   return t;
 }
 
-cycles bus_encryption_engine::transform_units_bulk(keyed_cipher& kc,
-                                                   const keyslot_key& k,
-                                                   addr_t unit_base, std::span<u8> buf,
-                                                   bool encrypt, bool fallback,
-                                                   bool charge) {
-  const std::size_t du = k.data_unit_size;
-  if (!kc.pad_precomputable() || buf.empty() || unit_base % du != 0 ||
-      buf.size() % du != 0)
+cycles bus_encryption_engine::crypt_units(
+    memory_authenticator* area, keyed_cipher& kc, const keyslot_key& k, addr_t unit_base,
+    std::span<u8> buf, bool encrypt, bool fallback, bool charge,
+    std::vector<std::span<u8>>& bad,
+    std::span<const memory_authenticator::area_staged> snaps) {
+  if (area == nullptr)
     return transform_units(kc, k, unit_base, buf, encrypt, fallback, charge);
-  bytes pad(buf.size());
-  kc.generate_pads(unit_base / du, du, pad);
-  xor_bytes(buf, pad); // u64-wide pad application
-
-  if (!charge) return 0;
-  const cycles n = static_cast<cycles>(buf.size() / du);
-  cycles c = kc.unit_cost(du, encrypt);
-  if (fallback) c *= cfg_.fallback_penalty;
-  stats_.crypto_cycles += c * n;
-  stats_.units += n;
-  return c * n;
+  const std::size_t du = k.data_unit_size;
+  cycles t = 0;
+  std::size_t snap = 0;
+  for (std::size_t off = 0; off < buf.size(); off += du) {
+    const addr_t ua = unit_base + off;
+    std::span<u8> unit = buf.subspan(off, du);
+    if (!area->covers(ua)) {
+      t += transform_units(kc, k, ua, unit, encrypt, fallback, charge);
+      continue;
+    }
+    // AREA's expanded payload through the leased cipher, in place; the
+    // unseal checks every block's nonce slice on the way.
+    cycles c = 0;
+    if (encrypt) {
+      c = area->area_encipher(kc, ua, unit, unit, /*initial=*/false, charge);
+    } else {
+      const auto cr = snaps.empty()
+                          ? area->area_finish(kc, ua, unit, unit, area->area_prepare(ua),
+                                              charge)
+                          : area->area_finish(kc, ua, unit, unit, snaps[snap++], charge);
+      c = cr.compute;
+      if (!cr.ok) bad.push_back(unit);
+    }
+    if (charge) {
+      t += c;
+      stats_.crypto_cycles += c;
+      ++stats_.units;
+    }
+  }
+  return t;
 }
 
 bus_encryption_engine::slot_lease
@@ -304,41 +330,47 @@ cycles bus_encryption_engine::crypt_span(context_id ctx, addr_t addr, std::span<
   const bool tail_partial = addr + data.size() != a1;
 
   slot_lease lease = lease_slot(k, charge_time);
-  keyed_cipher* kc = lease.kc;
-  const bool fallback = lease.fallback;
   cycles t = lease.setup;
 
+  // AREA checks inside the per-unit transform; mac/hash_tree check the
+  // stored ciphertext against tags / the tree beside it.
   memory_authenticator* auth = auths_[ctx].get();
-  if (auth != nullptr && auth->mode() == auth_mode::area)
-    return t + area_span(*auth, *kc, k, addr, data, is_write, charge_time, fallback);
+  memory_authenticator* area =
+      auth != nullptr && auth->mode() == auth_mode::area ? auth : nullptr;
+  memory_authenticator* tags = area == nullptr ? auth : nullptr;
 
   bytes cover(static_cast<std::size_t>(a1 - a0));
+  std::vector<std::span<u8>> bad; // units that failed verification
 
-  // mac/hash_tree verify the *ciphertext* of one covered unit; a mismatch
-  // is counted against the issuing master and the unit's plaintext is
-  // replaced by the bus-error fill (the CPU must never consume it).
-  auto verify_ct = [&](addr_t unit_addr, std::span<const u8> ct) -> bool {
-    if (auth == nullptr || !auth->covers(unit_addr)) return true;
-    const auto cr = auth->verify_unit(unit_addr, ct, charge_time);
-    t += cr.bus + cr.compute;
-    return cr.ok;
+  // Fetch whole units and decipher them in place. mac/hash_tree verify
+  // the *ciphertext* of each covered unit before it is consumed.
+  auto fetch = [&](addr_t ua, std::span<u8> buf) {
+    t += lower_->read(ua, buf);
+    if (tags != nullptr)
+      for (std::size_t off = 0; off < buf.size(); off += du) {
+        if (!tags->covers(ua + off)) continue;
+        const auto cr = tags->verify_unit(ua + off, buf.subspan(off, du), charge_time);
+        t += cr.bus + cr.compute;
+        if (!cr.ok) bad.push_back(buf.subspan(off, du));
+      }
+    t += crypt_units(area, *lease.kc, k, ua, buf, /*encrypt=*/false, lease.fallback,
+                     charge_time, bad);
   };
-  auto fault_unit = [&](std::span<u8> plain) {
-    std::fill(plain.begin(), plain.end(), fault_fill);
-    note_integrity_fault(active_master_);
-    if (charge_time) t += cfg_.fault_cycles;
+  // A failed unit is counted against the issuing master and its plaintext
+  // is replaced by the bus-error fill (the CPU must never consume it). On
+  // a partial write the fill is merged and re-sealed like any plaintext.
+  auto fault_bad = [&] {
+    for (const std::span<u8> unit : bad) {
+      std::fill(unit.begin(), unit.end(), fault_fill);
+      note_integrity_fault(active_master_);
+      if (charge_time) t += cfg_.fault_cycles;
+    }
+    bad.clear();
   };
 
   if (!is_write) {
-    t += lower_->read(a0, cover);
-    std::vector<std::size_t> failed;
-    if (auth != nullptr)
-      for (std::size_t off = 0; off < cover.size(); off += du)
-        if (!verify_ct(a0 + off, std::span<const u8>(cover).subspan(off, du)))
-          failed.push_back(off);
-    t += transform_units(*kc, k, a0, cover, /*encrypt=*/false, fallback, charge_time);
-    for (const std::size_t off : failed)
-      fault_unit(std::span<u8>(cover).subspan(off, du));
+    fetch(a0, cover);
+    fault_bad();
     std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), data.size(),
                 data.begin());
     return t;
@@ -346,33 +378,25 @@ cycles bus_encryption_engine::crypt_span(context_id ctx, addr_t addr, std::span<
 
   // Write path. Partial edge units trigger the paper's five-step penalty:
   // read, decipher, modify, re-cipher, write back.
-  if (head_partial || tail_partial) {
-    if (head_partial) {
-      std::span<u8> head(cover.data(), du);
-      t += lower_->read(a0, head);
-      const bool ok = verify_ct(a0, head);
-      t += transform_units(*kc, k, a0, head, /*encrypt=*/false, fallback, charge_time);
-      if (!ok) fault_unit(head);
-      ++stats_.rmw_ops;
-    }
-    if (tail_partial && (a1 - a0 > du || !head_partial)) {
-      std::span<u8> tail(cover.data() + cover.size() - du, du);
-      t += lower_->read(a1 - du, tail);
-      const bool ok = verify_ct(a1 - du, tail);
-      t += transform_units(*kc, k, a1 - du, tail, /*encrypt=*/false, fallback, charge_time);
-      if (!ok) fault_unit(tail);
-      ++stats_.rmw_ops; // guard above ensures this unit was not the head RMW
-    }
+  if (head_partial) {
+    fetch(a0, std::span<u8>(cover.data(), du));
+    ++stats_.rmw_ops;
   }
+  if (tail_partial && (a1 - a0 > du || !head_partial)) {
+    fetch(a1 - du, std::span<u8>(cover.data() + cover.size() - du, du));
+    ++stats_.rmw_ops; // guard above ensures this unit was not the head RMW
+  }
+  fault_bad();
   std::copy(data.begin(), data.end(),
             cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
-  t += transform_units(*kc, k, a0, cover, /*encrypt=*/true, fallback, charge_time);
-  if (auth != nullptr)
+  t += crypt_units(area, *lease.kc, k, a0, cover, /*encrypt=*/true, lease.fallback,
+                   charge_time, bad);
+  if (tags != nullptr)
     for (std::size_t off = 0; off < cover.size(); off += du) {
       const addr_t ua = a0 + off;
-      if (!auth->covers(ua)) continue;
+      if (!tags->covers(ua)) continue;
       const auto cr =
-          auth->update_unit(ua, std::span<const u8>(cover).subspan(off, du), charge_time);
+          tags->update_unit(ua, std::span<const u8>(cover).subspan(off, du), charge_time);
       t += cr.bus + cr.compute;
       if (!cr.ok) { // hash_tree caught a tampered stored path on the write walk
         note_integrity_fault(active_master_);
@@ -380,84 +404,6 @@ cycles bus_encryption_engine::crypt_span(context_id ctx, addr_t addr, std::span<
       }
     }
   t += lower_->write(a0, cover);
-  return t;
-}
-
-cycles bus_encryption_engine::area_span(memory_authenticator& auth, keyed_cipher& kc,
-                                        const keyslot_key& k, addr_t addr,
-                                        std::span<u8> data, bool is_write,
-                                        bool charge_time, bool fallback) {
-  const std::size_t du = k.data_unit_size;
-  const addr_t a0 = addr / du * du;
-  const addr_t a1 = (addr + data.size() + du - 1) / du * du;
-  const bool head_partial = addr != a0;
-  const bool tail_partial = addr + data.size() != a1;
-  cycles t = 0;
-
-  auto charge_unit = [&](cycles c) {
-    if (!charge_time) return;
-    t += c;
-    stats_.crypto_cycles += c;
-    ++stats_.units;
-  };
-  // Unseal one covered unit in place: DRAM ciphertext + sideband ->
-  // plaintext, nonce slices checked on the way.
-  auto unseal = [&](addr_t ua, std::span<u8> buf) {
-    bytes plain(du);
-    const auto cr = auth.area_decipher(kc, ua, buf, plain, charge_time);
-    std::copy(plain.begin(), plain.end(), buf.begin());
-    charge_unit(cr.compute);
-    if (!cr.ok) {
-      std::fill(buf.begin(), buf.end(), fault_fill);
-      note_integrity_fault(active_master_);
-      if (charge_time) t += cfg_.fault_cycles;
-    }
-  };
-
-  if (!is_write) {
-    bytes cover(static_cast<std::size_t>(a1 - a0));
-    t += lower_->read(a0, cover);
-    for (std::size_t off = 0; off < cover.size(); off += du) {
-      const addr_t ua = a0 + off;
-      std::span<u8> unit = std::span<u8>(cover).subspan(off, du);
-      if (auth.covers(ua)) unseal(ua, unit);
-      else t += transform_units(kc, k, ua, unit, /*encrypt=*/false, fallback, charge_time);
-    }
-    std::copy_n(cover.begin() + static_cast<std::ptrdiff_t>(addr - a0), data.size(),
-                data.begin());
-    return t;
-  }
-
-  // Write path: assemble the plaintext cover (RMW through the unseal for
-  // partial edges), then re-seal unit by unit and store in one burst.
-  bytes plain_cover(static_cast<std::size_t>(a1 - a0));
-  auto rmw_read = [&](addr_t ua, std::span<u8> buf) {
-    t += lower_->read(ua, buf);
-    if (auth.covers(ua)) unseal(ua, buf);
-    else t += transform_units(kc, k, ua, buf, /*encrypt=*/false, fallback, charge_time);
-    ++stats_.rmw_ops;
-  };
-  if (head_partial) rmw_read(a0, std::span<u8>(plain_cover.data(), du));
-  if (tail_partial && (a1 - a0 > du || !head_partial))
-    rmw_read(a1 - du, std::span<u8>(plain_cover.data() + plain_cover.size() - du, du));
-  std::copy(data.begin(), data.end(),
-            plain_cover.begin() + static_cast<std::ptrdiff_t>(addr - a0));
-
-  bytes ct_cover(plain_cover.size());
-  for (std::size_t off = 0; off < plain_cover.size(); off += du) {
-    const addr_t ua = a0 + off;
-    std::span<u8> ct = std::span<u8>(ct_cover).subspan(off, du);
-    if (auth.covers(ua)) {
-      const cycles c = auth.area_encipher(
-          kc, ua, std::span<const u8>(plain_cover).subspan(off, du), ct,
-          /*initial=*/false, charge_time);
-      charge_unit(c);
-    } else {
-      std::copy_n(plain_cover.begin() + static_cast<std::ptrdiff_t>(off), du, ct.begin());
-      t += transform_units(kc, k, ua, ct, /*encrypt=*/true, fallback, charge_time);
-    }
-  }
-  t += lower_->write(a0, ct_cover);
   return t;
 }
 
@@ -599,6 +545,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
   std::vector<sim::mem_txn*> flush_txns; ///< batch txns aligned with `lower`;
                                          ///< null for auth (tag) side traffic
   std::vector<post_read> posts;
+  std::vector<std::span<u8>> bad; ///< units that failed verification this flush
   cycles par_crypto = 0; ///< pad-precomputable work pending in this flush
   cycles engine_pre = 0; ///< data-dependent encipher staged before submission
   cycles mac_pre = 0;    ///< write tags staged on the serial MAC unit
@@ -645,12 +592,9 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     // MAC verifies first, over the ciphertext as it arrived and before the
     // decrypt pass consumes it. The MAC unit is serial: each verify starts
     // once its data AND its tag line have arrived (the overlap with other
-    // transactions' fetches is the point of riding the batch).
-    struct fail_rec {
-      std::span<u8> span;
-      master_id master;
-    };
-    std::vector<fail_rec> fails;
+    // transactions' fetches is the point of riding the batch). A failed
+    // unit is charged to its issuing master here and filled after the
+    // decrypt pass, so the fill survives it.
     cycles mac_done = mac_pre;
     for (pending_ver& pv : pending) {
       cycles arrive = finish[pv.data_idx];
@@ -663,44 +607,23 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       const auto cr = pv.auth->batch_finish_verify(pv.sv, pv.ct, line, /*charge=*/true);
       mac_done = std::max(mac_done, arrive) + cr.compute;
       finish[pv.data_idx] = std::max(finish[pv.data_idx], mac_done);
-      if (!cr.ok) fails.push_back({pv.ct, pv.master});
+      if (!cr.ok) {
+        bad.push_back(pv.ct);
+        note_integrity_fault(pv.master);
+      }
     }
 
+    // Pad-precomputable reads (CTR, streams) generate the segment's whole
+    // pad in one call and XOR it on arrival, in parallel with the fetch.
+    // Everything else — block-mode decipher, AREA unseal — runs on the
+    // serial core, gated on the segment's own data arrival.
     cycles engine_done = engine_pre;
     for (post_read& pr : posts) {
-      if (pr.area != nullptr) {
-        // AREA unseal: per-unit expanded decipher on the serial core, each
-        // unit gated on the segment's own data arrival.
-        const std::size_t du = pr.key->data_unit_size;
-        cycles done = std::max(engine_done, lower[pr.txn_idx].complete_cycle);
-        std::size_t snap = 0;
-        for (std::size_t off = 0; off < pr.data.size(); off += du) {
-          const addr_t ua = pr.addr + off;
-          std::span<u8> unit = pr.data.subspan(off, du);
-          if (pr.area->covers(ua)) {
-            bytes plain(du);
-            const auto cr = pr.area->area_finish(*pr.kc, ua, unit, plain,
-                                                 pr.area_snaps[snap++],
-                                                 /*charge=*/true);
-            std::copy(plain.begin(), plain.end(), unit.begin());
-            stats_.crypto_cycles += cr.compute;
-            ++stats_.units;
-            done += cr.compute;
-            if (!cr.ok) fails.push_back({unit, pr.master});
-          } else {
-            done += transform_units(*pr.kc, *pr.key, ua, unit, /*encrypt=*/false,
-                                    pr.fallback, /*charge=*/true);
-          }
-        }
-        engine_done = done;
-        finish[pr.txn_idx] = std::max(finish[pr.txn_idx], engine_done);
-        continue;
-      }
-      // Pad-precomputable reads take the bulk-keystream datapath: the
-      // segment's whole pad in one generate_pads call, XORed on arrival.
-      const cycles c =
-          transform_units_bulk(*pr.kc, *pr.key, pr.addr, pr.data,
-                               /*encrypt=*/false, pr.fallback, /*charge=*/true);
+      const std::size_t seen = bad.size();
+      const cycles c = crypt_units(pr.area, *pr.kc, *pr.key, pr.addr, pr.data,
+                                   /*encrypt=*/false, pr.fallback, /*charge=*/true, bad,
+                                   pr.area_snaps);
+      for (std::size_t i = seen; i < bad.size(); ++i) note_integrity_fault(pr.master);
       if (pr.kc->pad_precomputable()) {
         par_crypto += c;
       } else {
@@ -708,12 +631,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
         finish[pr.txn_idx] = std::max(finish[pr.txn_idx], engine_done);
       }
     }
-    // A failed verify blocks the unit's plaintext: bus-error fill, charged
-    // to the issuing master, after the decrypt pass so the fill survives.
-    for (const fail_rec& f : fails) {
-      std::fill(f.span.begin(), f.span.end(), fault_fill);
-      note_integrity_fault(f.master);
-    }
+    for (const std::span<u8> unit : bad) std::fill(unit.begin(), unit.end(), fault_fill);
     cycles mono = 0; // in-order retirement: stamps stay monotone
     for (std::size_t i = 0; i < lower.size(); ++i) {
       mono = std::max(mono, finish[i]);
@@ -727,6 +645,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
     lower.clear();
     flush_txns.clear();
     posts.clear();
+    bad.clear();
     pending.clear();
     tag_fetches.clear();
     tagline_map.clear();
@@ -839,68 +758,49 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
       const auto [kc, fallback] = resolve(ctx);
       const keyslot_key& k = contexts_[ctx];
       memory_authenticator* auth = auths_[ctx].get();
+      memory_authenticator* area =
+          auth != nullptr && auth->mode() == auth_mode::area ? auth : nullptr;
+      memory_authenticator* mac =
+          auth != nullptr && auth->mode() == auth_mode::mac ? auth : nullptr;
       const std::size_t du = k.data_unit_size;
       if (fw_ != nullptr) // the allowed span's one counting check (rule hit)
         (void)fw_->check(txn.master, seg.addr, seg.data.size(), txn.is_write());
       note_domain(txn.master, txn.is_write(), seg.data.size(), /*fault=*/false);
       if (txn.is_write()) {
-        staged.emplace_back(seg.data.begin(), seg.data.end());
-        if (auth != nullptr && auth->mode() == auth_mode::area) {
-          // Seal unit by unit: the expanded encipher replaces the in-place
-          // transform; block modes only, so it all lands on the serial core.
-          bytes& ct = staged.back();
+        bytes& ct = staged.emplace_back(seg.data.begin(), seg.data.end());
+        const cycles c = crypt_units(area, *kc, k, seg.addr, ct, /*encrypt=*/true,
+                                     fallback, /*charge=*/true, bad);
+        // Write data is in hand at staging time: precomputable pads overlap
+        // the bus; block-mode encipher and AREA seal occupy the serial core
+        // up front.
+        if (kc->pad_precomputable()) par_crypto += c;
+        else engine_pre += c;
+        if (mac != nullptr) // new tags ride the same lower batch
           for (std::size_t off = 0; off < ct.size(); off += du) {
             const addr_t ua = seg.addr + off;
-            std::span<u8> unit = std::span<u8>(ct).subspan(off, du);
-            if (auth->covers(ua)) {
-              const cycles c = auth->area_encipher(
-                  *kc, ua, std::span<const u8>(seg.data).subspan(off, du), unit,
-                  /*initial=*/false, /*charge=*/true);
-              stats_.crypto_cycles += c;
-              ++stats_.units;
-              engine_pre += c;
-            } else {
-              engine_pre += transform_units(*kc, k, ua, unit, /*encrypt=*/true,
-                                            fallback, /*charge=*/true);
-            }
+            if (!mac->covers(ua)) continue;
+            auto su = mac->batch_stage_update(
+                ua, std::span<const u8>(ct).subspan(off, du), /*charge=*/true);
+            mac_pre += su.compute;
+            aux.emplace_back(std::move(su.tag));
+            tag_writes.emplace_back(su.tag_addr, &aux.back());
           }
-        } else {
-          const cycles c =
-              transform_units_bulk(*kc, k, seg.addr, staged.back(),
-                                   /*encrypt=*/true, fallback, /*charge=*/true);
-          // Write data is in hand at staging time: precomputable pads overlap
-          // the bus, block-mode encipher occupies the serial core up front.
-          if (kc->pad_precomputable()) par_crypto += c;
-          else engine_pre += c;
-          if (auth != nullptr) { // mac: new tags ride the same lower batch
-            for (std::size_t off = 0; off < staged.back().size(); off += du) {
-              const addr_t ua = seg.addr + off;
-              if (!auth->covers(ua)) continue;
-              auto su = auth->batch_stage_update(
-                  ua, std::span<const u8>(staged.back()).subspan(off, du),
-                  /*charge=*/true);
-              mac_pre += su.compute;
-              aux.emplace_back(std::move(su.tag));
-              tag_writes.emplace_back(su.tag_addr, &aux.back());
-            }
-          }
-        }
-        lt.segments.push_back({seg.addr, std::span<u8>(staged.back())});
+        lt.segments.push_back({seg.addr, std::span<u8>(ct)});
       } else {
         lt.segments.push_back(seg);
-        const bool is_area = auth != nullptr && auth->mode() == auth_mode::area;
-        posts.push_back({kc, &k, seg.addr, seg.data, fallback, lower.size(),
-                         is_area ? auth : nullptr, txn.master, {}});
-        if (is_area)
+        posts.push_back(
+            {kc, &k, seg.addr, seg.data, fallback, lower.size(), area, txn.master, {}});
+        if (area != nullptr)
           for (std::size_t off = 0; off < seg.data.size(); off += du) {
             const addr_t ua = seg.addr + off;
-            if (auth->covers(ua)) posts.back().area_snaps.push_back(auth->area_prepare(ua));
+            if (area->covers(ua))
+              posts.back().area_snaps.push_back(area->area_prepare(ua));
           }
-        if (auth != nullptr && auth->mode() == auth_mode::mac) {
+        if (mac != nullptr)
           for (std::size_t off = 0; off < seg.data.size(); off += du) {
             const addr_t ua = seg.addr + off;
-            if (!auth->covers(ua)) continue;
-            pending_ver pv{auth, auth->batch_prepare_verify(ua), lower.size(),
+            if (!mac->covers(ua)) continue;
+            pending_ver pv{mac, mac->batch_prepare_verify(ua), lower.size(),
                            seg.data.subspan(off, du), -1, txn.master};
             if (!pv.sv.have_tag) {
               // One fetch per tag line per flush, shared by every unit
@@ -908,7 +808,7 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
               const auto [it, inserted] =
                   tagline_map.try_emplace(pv.sv.tag_line, tag_fetches.size());
               if (inserted) {
-                auth->note_batch_tag_fetch();
+                mac->note_batch_tag_fetch();
                 aux.emplace_back(memory_authenticator::k_tag_line);
                 tag_fetches.push_back({pv.sv.tag_line, 0, &aux.back()});
                 new_fetches.push_back(it->second);
@@ -917,7 +817,6 @@ void bus_encryption_engine::submit(std::span<sim::mem_txn> batch) {
             }
             pending.push_back(std::move(pv));
           }
-        }
       }
     }
     lower.push_back(std::move(lt));

@@ -101,7 +101,9 @@ class bus_encryption_engine final : public sim::memory_port {
 
   /// Register an encryption context. Validates the backend name, the key
   /// length, and that the data-unit size is a positive multiple of the
-  /// backend granule. The key schedule is not expanded until first use.
+  /// backend granule. The granule probe builds one keyed instance (so the
+  /// key schedule is expanded once here) and discards it; the keyslot
+  /// that later serves the context expands its own.
   [[nodiscard]] context_id create_context(keyslot_key k);
 
   /// Drop a context and evict its key from the slot pool if idle.
@@ -186,13 +188,14 @@ class bus_encryption_engine final : public sim::memory_port {
 
   /// Native batch path. Per batch: every referenced context resolves to a
   /// keyslot once (slots are pinned and programmed at most once, however
-  /// many transactions share them), write units are enciphered up front,
-  /// the whole batch goes to the lower port as one submission (multi-bank
-  /// overlap composes), and read units decipher as the data lands — so the
-  /// crypto pipeline runs concurrently with the bus schedule and the batch
-  /// costs max(mem, crypto) instead of their sum. Transactions that need
-  /// unit-unaligned or unmapped handling drop to the scalar path without
-  /// breaking functional order (pending lower work is flushed first).
+  /// many transactions share them), write units are enciphered or sealed
+  /// up front, the whole batch goes to the lower port as one submission
+  /// (multi-bank overlap composes), and read units decipher as the data
+  /// lands — so the crypto pipeline runs concurrently with the bus
+  /// schedule and the batch costs max(mem, crypto) instead of their sum.
+  /// Transactions that need unit-unaligned, unmapped or hash-tree handling
+  /// drop to the scalar path without breaking functional order (pending
+  /// lower work is flushed first).
   void submit(std::span<sim::mem_txn> batch) override;
 
   // --- offline paths (no simulated time) -----------------------------------
@@ -217,8 +220,9 @@ class bus_encryption_engine final : public sim::memory_port {
 
   /// A keyslot held for the duration of one request or one batch, or the
   /// software fallback when the pool is pinned out. The single home of the
-  /// acquire/program-cost/fallback protocol, shared by the scalar and
-  /// batched datapaths so their timing and stats cannot drift apart.
+  /// acquire/program-cost/fallback protocol: the scalar and batched
+  /// datapaths both lease here and both transform through crypt_units, so
+  /// their timing and stats cannot drift apart.
   struct slot_lease {
     std::unique_ptr<slot_guard> guard;      ///< pins the hardware slot
     std::unique_ptr<keyed_cipher> software; ///< fallback instance, if used
@@ -236,14 +240,10 @@ class bus_encryption_engine final : public sim::memory_port {
                                       bool hw_only = false);
 
   /// One mapped-region segment of a request, expressed in covering units.
+  /// A unit that fails verification gets the bus-error fill; on a partial
+  /// write that fill is what gets merged and re-sealed.
   [[nodiscard]] cycles crypt_span(context_id ctx, addr_t addr, std::span<u8> data,
                                   bool is_write, bool charge_time);
-
-  /// crypt_span's AREA datapath: per-unit expanded payloads through the
-  /// context's leased cipher instead of the in-place unit transform.
-  [[nodiscard]] cycles area_span(memory_authenticator& auth, keyed_cipher& kc,
-                                 const keyslot_key& k, addr_t addr, std::span<u8> data,
-                                 bool is_write, bool charge_time, bool fallback);
 
   /// Charge one verified-failed unit: engine + per-master counters, the
   /// bus-error fill already applied by the caller.
@@ -253,14 +253,19 @@ class bus_encryption_engine final : public sim::memory_port {
                                        addr_t unit_base, std::span<u8> buf,
                                        bool encrypt, bool fallback, bool charge);
 
-  /// transform_units via one bulk keystream call (generate_pads) plus one
-  /// XOR pass — the batch path's hot loop for pad-precomputable backends
-  /// (CTR, streams). Byte-identical to transform_units with identical
-  /// charged cycles and stats; falls back to it for block modes or
-  /// unit-unaligned spans.
-  [[nodiscard]] cycles transform_units_bulk(keyed_cipher& kc, const keyslot_key& k,
-                                            addr_t unit_base, std::span<u8> buf,
-                                            bool encrypt, bool fallback, bool charge);
+  /// The engine's one per-unit datapath over whole units at \p unit_base:
+  /// units \p area covers are sealed or unsealed in place (AREA's
+  /// expanded payload through the leased cipher), every other unit goes
+  /// through transform_units. An unseal whose nonce check fails is
+  /// appended to \p bad; the caller applies the fault fill and charges
+  /// it. \p snaps, when given, holds one staging-order snapshot per
+  /// covered unit (the batch path); otherwise the live state is used.
+  [[nodiscard]] cycles crypt_units(memory_authenticator* area, keyed_cipher& kc,
+                                   const keyslot_key& k, addr_t unit_base,
+                                   std::span<u8> buf, bool encrypt, bool fallback,
+                                   bool charge, std::vector<std::span<u8>>& bad,
+                                   std::span<const memory_authenticator::area_staged>
+                                       snaps = {});
 
   /// Record protected-region traffic (or a denial) against \p m.
   void note_domain(master_id m, bool is_write, std::size_t n, bool fault);

@@ -284,14 +284,6 @@ memory_authenticator::area_prepare(addr_t unit_addr) const {
 }
 
 memory_authenticator::check_result
-memory_authenticator::area_decipher(keyed_cipher& kc, addr_t unit_addr,
-                                    std::span<const u8> dram_ct,
-                                    std::span<u8> plain_out, bool charge) {
-  return area_finish(kc, unit_addr, dram_ct, plain_out, area_prepare(unit_addr),
-                     charge);
-}
-
-memory_authenticator::check_result
 memory_authenticator::area_finish(keyed_cipher& kc, addr_t unit_addr,
                                   std::span<const u8> dram_ct,
                                   std::span<u8> plain_out, const area_staged& staged,

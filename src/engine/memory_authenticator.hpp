@@ -229,16 +229,11 @@ class memory_authenticator {
   /// Seal one unit: embed per-block nonces, encipher the expanded payload
   /// with \p kc, emit the DRAM-resident half into \p dram_ct (unit_bytes)
   /// and the expansion into the sideband. Bumps the version unless
-  /// \p initial (the attach-time seal keeps version 0).
+  /// \p initial (the attach-time seal keeps version 0). \p plain and
+  /// \p dram_ct may be the same bytes.
   [[nodiscard]] cycles area_encipher(keyed_cipher& kc, addr_t unit_addr,
                                      std::span<const u8> plain, std::span<u8> dram_ct,
                                      bool initial, bool charge);
-
-  /// Unseal one unit: reassemble DRAM + sideband ciphertext, decipher,
-  /// check every block's nonce slice, extract the data into \p plain_out.
-  [[nodiscard]] check_result area_decipher(keyed_cipher& kc, addr_t unit_addr,
-                                           std::span<const u8> dram_ct,
-                                           std::span<u8> plain_out, bool charge);
 
   /// Snapshot of one unit's unseal inputs at batch *staging* order. A later
   /// write of the same unit in the same batch bumps the live version and
@@ -251,7 +246,11 @@ class memory_authenticator {
   };
   [[nodiscard]] area_staged area_prepare(addr_t unit_addr) const;
 
-  /// area_decipher against a staging-order snapshot (the batch post pass).
+  /// Unseal one unit against \p staged (area_prepare of the unit — taken
+  /// at staging order on the batch path, just before the unseal
+  /// otherwise): reassemble DRAM + sideband ciphertext, decipher, check
+  /// every block's nonce slice, extract the data into \p plain_out.
+  /// \p dram_ct and \p plain_out may be the same bytes.
   [[nodiscard]] check_result area_finish(keyed_cipher& kc, addr_t unit_addr,
                                          std::span<const u8> dram_ct,
                                          std::span<u8> plain_out,

@@ -19,6 +19,7 @@
 
 #include <string>
 #include <tuple>
+#include <utility>
 
 namespace buscrypt::engine {
 namespace {
@@ -68,6 +69,10 @@ bytes pattern(std::size_t n, u8 seed) {
   bytes out(n);
   for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<u8>(seed + i * 13);
   return out;
+}
+
+std::string case_name(std::string backend, auth_mode mode) {
+  return backend + "/" + std::string(auth_mode_name(mode));
 }
 
 // --- attach validation ------------------------------------------------------
@@ -324,41 +329,52 @@ TEST(AuthNoneSweep, AuthOnDisjointContextLeavesPlainTrafficUntouched) {
 // --- per-master integrity-fault attribution ----------------------------------
 
 TEST(AuthFaults, BatchedTamperIsChargedToTheIssuingMaster) {
-  rig r("aes-ctr", auth_mode::mac);
-  const bytes img = pattern(32, 0x42);
-  (void)r.eng.write(0x1000, img);
+  // mac's tag compare and AREA's nonce check inside the block cipher's
+  // diffusion (hash-tree units take the scalar datapath).
+  for (const auto& [backend, mode] :
+       {std::pair{"aes-ctr", auth_mode::mac}, std::pair{"aes-ecb", auth_mode::area}}) {
+    rig r(backend, mode);
+    const bytes img = pattern(32, 0x42);
+    (void)r.eng.write(0x1000, img);
 
-  r.chip.raw()[0x1000 + 5] ^= 0x80; // spoof behind the engine's back
-  r.auth().drop_caches();
+    r.chip.raw()[0x1000 + 5] ^= 0x80; // spoof behind the engine's back
+    r.auth().drop_caches();
 
-  bytes buf(32);
-  sim::mem_txn txn = sim::mem_txn::read_of(1, 0x1000, buf);
-  txn.master = 3;
-  r.eng.submit(std::span<sim::mem_txn>(&txn, 1));
-  (void)r.eng.drain();
+    bytes buf(32);
+    sim::mem_txn txn = sim::mem_txn::read_of(1, 0x1000, buf);
+    txn.master = 3;
+    r.eng.submit(std::span<sim::mem_txn>(&txn, 1));
+    (void)r.eng.drain();
 
-  EXPECT_EQ(r.eng.stats().integrity_faults, 1u);
-  EXPECT_EQ(r.eng.domain(3).integrity_faults, 1u);
-  EXPECT_EQ(r.eng.domain(sim::cpu_master).integrity_faults, 0u);
-  EXPECT_EQ(buf, bytes(32, bus_encryption_engine::fault_fill))
-      << "a tampered unit must surface the bus-error fill, never plaintext";
+    const std::string name = case_name(backend, mode);
+    EXPECT_EQ(r.eng.stats().batch_native, 1u) << name;
+    EXPECT_EQ(r.eng.stats().integrity_faults, 1u) << name;
+    EXPECT_EQ(r.eng.domain(3).integrity_faults, 1u) << name;
+    EXPECT_EQ(r.eng.domain(sim::cpu_master).integrity_faults, 0u) << name;
+    EXPECT_EQ(buf, bytes(32, bus_encryption_engine::fault_fill))
+        << name << ": a tampered unit must surface the bus-error fill, never plaintext";
+  }
 }
 
 TEST(AuthFaults, ScalarTamperFillsAndCounts) {
-  for (const auth_mode mode : {auth_mode::mac, auth_mode::hash_tree}) {
-    rig r("aes-ctr", mode);
+  for (const auto& [backend, mode] :
+       {std::pair{"aes-ctr", auth_mode::mac}, std::pair{"aes-ctr", auth_mode::hash_tree},
+        std::pair{"aes-ecb", auth_mode::area}}) {
+    const std::string name = case_name(backend, mode);
+    rig r(backend, mode);
     const bytes img = pattern(32, 0x42);
     (void)r.eng.write(0x2000, img);
     r.chip.raw()[0x2000] ^= 1;
     r.auth().drop_caches();
     bytes buf(32);
     (void)r.eng.read(0x2000, buf);
-    EXPECT_EQ(r.eng.stats().integrity_faults, 1u) << auth_mode_name(mode);
-    EXPECT_EQ(buf, bytes(32, bus_encryption_engine::fault_fill)) << auth_mode_name(mode);
+    EXPECT_EQ(r.eng.stats().integrity_faults, 1u) << name;
+    EXPECT_EQ(r.eng.domain(sim::cpu_master).integrity_faults, 1u) << name;
+    EXPECT_EQ(buf, bytes(32, bus_encryption_engine::fault_fill)) << name;
     // Repair: a fresh write re-seals the unit, the engine recovers.
     (void)r.eng.write(0x2000, img);
     (void)r.eng.read(0x2000, buf);
-    EXPECT_EQ(buf, img) << auth_mode_name(mode);
+    EXPECT_EQ(buf, img) << name;
   }
 }
 
@@ -537,6 +553,29 @@ TEST(AuthRmw, SubUnitWritesReVerifyAndReSeal) {
     EXPECT_EQ(buf, expect) << auth_mode_name(mode);
     EXPECT_EQ(r.eng.stats().integrity_faults, 0u) << auth_mode_name(mode);
     EXPECT_GE(r.eng.stats().rmw_ops, 2u) << auth_mode_name(mode);
+  }
+}
+
+TEST(AuthRmw, SubUnitWriteIntoTamperedUnit) {
+  // A partial write whose RMW fetch fails verification merges the patch
+  // into the bus-error fill, not into the attacker's bytes, and re-seals
+  // that: the unit reads back as fill around the patch, and only the RMW
+  // fetch faults.
+  for (const auth_mode mode : {auth_mode::mac, auth_mode::area, auth_mode::hash_tree}) {
+    rig r("aes-ecb", mode);
+    (void)r.eng.write(0x3000, pattern(32, 0x31));
+    r.chip.raw()[0x3000 + 3] ^= 0x10;
+    r.auth().drop_caches();
+
+    const bytes patch = pattern(4, 0xC0);
+    (void)r.eng.write(0x3000 + 8, patch);
+    bytes expect(32, bus_encryption_engine::fault_fill);
+    std::copy(patch.begin(), patch.end(), expect.begin() + 8);
+    bytes buf(32);
+    (void)r.eng.read(0x3000, buf);
+    EXPECT_EQ(buf, expect) << auth_mode_name(mode);
+    EXPECT_EQ(r.eng.stats().integrity_faults, 1u) << auth_mode_name(mode);
+    EXPECT_EQ(r.eng.stats().rmw_ops, 1u) << auth_mode_name(mode);
   }
 }
 
