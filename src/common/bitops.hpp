@@ -57,6 +57,17 @@ constexpr void store_be64(u8* p, u64 v) noexcept {
   store_be32(p + 4, static_cast<u32>(v));
 }
 
+/// FNV-1a 64-bit over a byte span: the DRAM-image fingerprint the fleet and
+/// lifetime runners compare across serial and parallel runs.
+[[nodiscard]] constexpr u64 fnv1a(std::span<const u8> data) noexcept {
+  u64 h = 0xCBF29CE484222325ULL;
+  for (const u8 b : data) {
+    h ^= b;
+    h *= 0x00000100000001B3ULL;
+  }
+  return h;
+}
+
 /// Load a little-endian 32-bit word from 4 bytes.
 [[nodiscard]] constexpr u32 load_le32(const u8* p) noexcept {
   return u32{p[0]} | (u32{p[1]} << 8) | (u32{p[2]} << 16) | (u32{p[3]} << 24);

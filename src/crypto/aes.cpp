@@ -182,68 +182,128 @@ std::string_view aes::name() const noexcept {
   }
 }
 
-void aes::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
-  check_block(in, out);
-  const u32* rk = round_keys_.data();
-  u32 c0 = load_be32(&in[0]) ^ rk[0];
-  u32 c1 = load_be32(&in[4]) ^ rk[1];
-  u32 c2 = load_be32(&in[8]) ^ rk[2];
-  u32 c3 = load_be32(&in[12]) ^ rk[3];
+// ---------------------------------------------------------------------------
+// T-table block kernels.
+// ---------------------------------------------------------------------------
 
-  for (int round = 1; round < nr_; ++round) {
-    rk += 4;
-    const u32 t0 = te_col(c0, c1, c2, c3) ^ rk[0];
-    const u32 t1 = te_col(c1, c2, c3, c0) ^ rk[1];
-    const u32 t2 = te_col(c2, c3, c0, c1) ^ rk[2];
-    const u32 t3 = te_col(c3, c0, c1, c2) ^ rk[3];
-    c0 = t0;
-    c1 = t1;
-    c2 = t2;
-    c3 = t3;
-  }
-  rk += 4;
+namespace {
+
+void encrypt_ttable(const u32* schedule, int nr, const u8* in, u8* out,
+                    std::size_t blocks) noexcept {
   // Final round: SubBytes + ShiftRows only (no MixColumns).
   auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
     return (u32{k_sbox[(r0 >> 24) & 0xFF]} << 24) |
            (u32{k_sbox[(r1 >> 16) & 0xFF]} << 16) |
            (u32{k_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_sbox[r3 & 0xFF]};
   };
-  store_be32(&out[0], last(c0, c1, c2, c3) ^ rk[0]);
-  store_be32(&out[4], last(c1, c2, c3, c0) ^ rk[1]);
-  store_be32(&out[8], last(c2, c3, c0, c1) ^ rk[2]);
-  store_be32(&out[12], last(c3, c0, c1, c2) ^ rk[3]);
+  for (; blocks != 0; --blocks, in += 16, out += 16) {
+    const u32* rk = schedule;
+    u32 c0 = load_be32(in) ^ rk[0];
+    u32 c1 = load_be32(in + 4) ^ rk[1];
+    u32 c2 = load_be32(in + 8) ^ rk[2];
+    u32 c3 = load_be32(in + 12) ^ rk[3];
+
+    for (int round = 1; round < nr; ++round) {
+      rk += 4;
+      const u32 t0 = te_col(c0, c1, c2, c3) ^ rk[0];
+      const u32 t1 = te_col(c1, c2, c3, c0) ^ rk[1];
+      const u32 t2 = te_col(c2, c3, c0, c1) ^ rk[2];
+      const u32 t3 = te_col(c3, c0, c1, c2) ^ rk[3];
+      c0 = t0;
+      c1 = t1;
+      c2 = t2;
+      c3 = t3;
+    }
+    rk += 4;
+    store_be32(out, last(c0, c1, c2, c3) ^ rk[0]);
+    store_be32(out + 4, last(c1, c2, c3, c0) ^ rk[1]);
+    store_be32(out + 8, last(c2, c3, c0, c1) ^ rk[2]);
+    store_be32(out + 12, last(c3, c0, c1, c2) ^ rk[3]);
+  }
 }
 
-void aes::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
-  check_block(in, out);
-  const u32* rk = dec_round_keys_.data();
-  u32 c0 = load_be32(&in[0]) ^ rk[0];
-  u32 c1 = load_be32(&in[4]) ^ rk[1];
-  u32 c2 = load_be32(&in[8]) ^ rk[2];
-  u32 c3 = load_be32(&in[12]) ^ rk[3];
-
-  // InvShiftRows routes row r of output column j from column (j - r) mod 4.
-  for (int round = 1; round < nr_; ++round) {
-    rk += 4;
-    const u32 t0 = td_col(c0, c3, c2, c1) ^ rk[0];
-    const u32 t1 = td_col(c1, c0, c3, c2) ^ rk[1];
-    const u32 t2 = td_col(c2, c1, c0, c3) ^ rk[2];
-    const u32 t3 = td_col(c3, c2, c1, c0) ^ rk[3];
-    c0 = t0;
-    c1 = t1;
-    c2 = t2;
-    c3 = t3;
-  }
-  rk += 4;
+void decrypt_ttable(const u32* schedule, int nr, const u8* in, u8* out,
+                    std::size_t blocks) noexcept {
   auto last = [](u32 r0, u32 r1, u32 r2, u32 r3) noexcept {
     return (u32{k_inv_sbox[(r0 >> 24) & 0xFF]} << 24) |
            (u32{k_inv_sbox[(r1 >> 16) & 0xFF]} << 16) |
            (u32{k_inv_sbox[(r2 >> 8) & 0xFF]} << 8) | u32{k_inv_sbox[r3 & 0xFF]};
   };
-  store_be32(&out[0], last(c0, c3, c2, c1) ^ rk[0]);
-  store_be32(&out[4], last(c1, c0, c3, c2) ^ rk[1]);
-  store_be32(&out[8], last(c2, c1, c0, c3) ^ rk[2]);
-  store_be32(&out[12], last(c3, c2, c1, c0) ^ rk[3]);
+  for (; blocks != 0; --blocks, in += 16, out += 16) {
+    const u32* rk = schedule;
+    u32 c0 = load_be32(in) ^ rk[0];
+    u32 c1 = load_be32(in + 4) ^ rk[1];
+    u32 c2 = load_be32(in + 8) ^ rk[2];
+    u32 c3 = load_be32(in + 12) ^ rk[3];
+
+    // InvShiftRows routes row r of output column j from column (j - r) mod 4.
+    for (int round = 1; round < nr; ++round) {
+      rk += 4;
+      const u32 t0 = td_col(c0, c3, c2, c1) ^ rk[0];
+      const u32 t1 = td_col(c1, c0, c3, c2) ^ rk[1];
+      const u32 t2 = td_col(c2, c1, c0, c3) ^ rk[2];
+      const u32 t3 = td_col(c3, c2, c1, c0) ^ rk[3];
+      c0 = t0;
+      c1 = t1;
+      c2 = t2;
+      c3 = t3;
+    }
+    rk += 4;
+    store_be32(out, last(c0, c3, c2, c1) ^ rk[0]);
+    store_be32(out + 4, last(c1, c0, c3, c2) ^ rk[1]);
+    store_be32(out + 8, last(c2, c1, c0, c3) ^ rk[2]);
+    store_be32(out + 12, last(c3, c2, c1, c0) ^ rk[3]);
+  }
+}
+
+// The host's kernels, chosen once: AES-NI when the build and CPU have it.
+const detail::aes_kernels& host_kernels() noexcept {
+  static const detail::aes_kernels k = [] {
+    const detail::aes_kernels ni = detail::aes_ni_kernels();
+    return ni.encrypt != nullptr ? ni : detail::aes_ttable_kernels();
+  }();
+  return k;
+}
+
+} // namespace
+
+namespace detail {
+
+#if defined(BUSCRYPT_AES_NI)
+void aes_ni_encrypt(const u32* rk, int nr, const u8* in, u8* out, std::size_t blocks) noexcept;
+void aes_ni_decrypt(const u32* rk, int nr, const u8* in, u8* out, std::size_t blocks) noexcept;
+#endif
+
+aes_kernels aes_ttable_kernels() noexcept { return {&encrypt_ttable, &decrypt_ttable}; }
+
+aes_kernels aes_ni_kernels() noexcept {
+#if defined(BUSCRYPT_AES_NI) && (defined(__x86_64__) || defined(__i386__))
+  if (__builtin_cpu_supports("aes") && __builtin_cpu_supports("ssse3"))
+    return {&aes_ni_encrypt, &aes_ni_decrypt};
+#endif
+  return {};
+}
+
+} // namespace detail
+
+void aes::encrypt_block(std::span<const u8> in, std::span<u8> out) const {
+  check_block(in, out);
+  host_kernels().encrypt(round_keys_.data(), nr_, in.data(), out.data(), 1);
+}
+
+void aes::decrypt_block(std::span<const u8> in, std::span<u8> out) const {
+  check_block(in, out);
+  host_kernels().decrypt(dec_round_keys_.data(), nr_, in.data(), out.data(), 1);
+}
+
+void aes::encrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
+  check_blocks(in, out);
+  host_kernels().encrypt(round_keys_.data(), nr_, in.data(), out.data(), in.size() / 16);
+}
+
+void aes::decrypt_blocks(std::span<const u8> in, std::span<u8> out) const {
+  check_blocks(in, out);
+  host_kernels().decrypt(dec_round_keys_.data(), nr_, in.data(), out.data(), in.size() / 16);
 }
 
 } // namespace buscrypt::crypto

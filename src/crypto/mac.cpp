@@ -1,42 +1,54 @@
 #include "crypto/mac.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace buscrypt::crypto {
 
-std::array<u8, 32> hmac_sha256(std::span<const u8> key, std::span<const u8> data) {
-  std::array<u8, 64> k_block{};
-  if (key.size() > 64) {
+hmac_key::hmac_key(std::span<const u8> key) noexcept {
+  std::array<u8, sha256::block_size> k_block{};
+  if (key.size() > k_block.size()) {
     const auto digest = sha256::hash(key);
-    for (std::size_t i = 0; i < digest.size(); ++i) k_block[i] = digest[i];
+    std::copy(digest.begin(), digest.end(), k_block.begin());
   } else {
-    for (std::size_t i = 0; i < key.size(); ++i) k_block[i] = key[i];
+    std::copy(key.begin(), key.end(), k_block.begin());
   }
 
-  std::array<u8, 64> ipad{};
-  std::array<u8, 64> opad{};
-  for (std::size_t i = 0; i < 64; ++i) {
-    ipad[i] = static_cast<u8>(k_block[i] ^ 0x36);
-    opad[i] = static_cast<u8>(k_block[i] ^ 0x5c);
-  }
+  std::array<u8, sha256::block_size> pad{};
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = static_cast<u8>(k_block[i] ^ 0x36);
+  inner_.update(pad);
+  for (std::size_t i = 0; i < pad.size(); ++i) pad[i] = static_cast<u8>(k_block[i] ^ 0x5c);
+  outer_.update(pad);
+}
 
-  sha256 inner;
-  inner.update(ipad);
-  inner.update(data);
+void hmac_key::tag_into(std::initializer_list<std::span<const u8>> parts,
+                        std::span<u8> out) const {
+  if (out.empty() || out.size() > sha256::digest_size)
+    throw std::invalid_argument("hmac tag length must be 1..32");
+  sha256 inner = inner_;
+  for (const std::span<const u8> p : parts) inner.update(p);
   const auto inner_digest = inner.digest();
-
-  sha256 outer;
-  outer.update(opad);
+  sha256 outer = outer_;
   outer.update(inner_digest);
-  return outer.digest();
+  const auto full = outer.digest();
+  std::copy_n(full.begin(), out.size(), out.begin());
+}
+
+bytes hmac_key::tag(std::initializer_list<std::span<const u8>> parts, std::size_t len) const {
+  bytes out(len);
+  tag_into(parts, out);
+  return out;
+}
+
+std::array<u8, 32> hmac_sha256(std::span<const u8> key, std::span<const u8> data) {
+  std::array<u8, 32> out{};
+  hmac_key(key).tag_into({data}, out);
+  return out;
 }
 
 bytes hmac_sha256_tag(std::span<const u8> key, std::span<const u8> data,
                       std::size_t tag_len) {
-  if (tag_len == 0 || tag_len > 32)
-    throw std::invalid_argument("hmac tag length must be 1..32");
-  const auto full = hmac_sha256(key, data);
-  return bytes(full.begin(), full.begin() + static_cast<std::ptrdiff_t>(tag_len));
+  return hmac_key(key).tag({data}, tag_len);
 }
 
 bytes cbc_mac(const block_cipher& c, std::span<const u8> data) {

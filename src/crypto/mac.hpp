@@ -9,8 +9,33 @@
 #include "crypto/sha256.hpp"
 
 #include <array>
+#include <initializer_list>
 
 namespace buscrypt::crypto {
+
+/// A prepared HMAC-SHA256 key (RFC 2104): the inner and outer SHA-256
+/// midstates after absorbing key^ipad and key^opad. Build one per keyed
+/// owner and reuse it: every tag then costs the message blocks plus one
+/// outer block, with no per-call key padding and no allocation. Immutable
+/// after construction, so one instance may be shared across threads.
+class hmac_key {
+ public:
+  /// \param key any length; keys longer than a block are hashed first.
+  explicit hmac_key(std::span<const u8> key) noexcept;
+
+  /// Write the first out.size() bytes of HMAC(key, parts[0] || parts[1] ||
+  /// ...) to \p out — the message is hashed part by part, never copied.
+  /// \throws std::invalid_argument unless 1 <= out.size() <= 32.
+  void tag_into(std::initializer_list<std::span<const u8>> parts, std::span<u8> out) const;
+
+  /// tag_into() a fresh \p len-byte buffer (for owners that store tags).
+  [[nodiscard]] bytes tag(std::initializer_list<std::span<const u8>> parts,
+                          std::size_t len) const;
+
+ private:
+  sha256 inner_;
+  sha256 outer_;
+};
 
 /// HMAC-SHA256 over \p data with \p key (any length).
 [[nodiscard]] std::array<u8, 32> hmac_sha256(std::span<const u8> key,

@@ -1,7 +1,6 @@
 #include "edu/gi_edu.hpp"
 
 #include "common/bitops.hpp"
-#include "crypto/mac.hpp"
 #include "crypto/modes.hpp"
 #include "edu/batch.hpp"
 
@@ -11,8 +10,8 @@
 namespace buscrypt::edu {
 
 gi_edu::gi_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
-               bytes mac_key, gi_edu_config cfg)
-    : edu(lower), cipher_(&cipher), mac_key_(std::move(mac_key)), cfg_(cfg) {
+               std::span<const u8> mac_key, gi_edu_config cfg)
+    : edu(lower), cipher_(&cipher), mac_key_(mac_key), cfg_(cfg) {
   if (cfg_.segment_bytes % cipher.block_size() != 0)
     throw std::invalid_argument("gi_edu: segment must be a block multiple");
   if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
@@ -27,10 +26,9 @@ void gi_edu::derive_iv(addr_t seg_base, std::span<u8> iv) const {
 
 bytes gi_edu::compute_tag(addr_t seg_base, std::span<const u8> plain) const {
   // Keyed hash over (address || plaintext) so segments cannot be swapped.
-  bytes msg(8 + plain.size());
-  store_be64(msg.data(), seg_base);
-  std::copy(plain.begin(), plain.end(), msg.begin() + 8);
-  return crypto::hmac_sha256_tag(mac_key_, msg, cfg_.tag_bytes);
+  u8 head[8]{};
+  store_be64(head, seg_base);
+  return mac_key_.tag({head, plain}, cfg_.tag_bytes);
 }
 
 cycles gi_edu::hash_time(std::size_t nbytes) const noexcept {

@@ -9,6 +9,7 @@
 /// forces every random touch to fetch and verify its entire segment.
 
 #include "crypto/block_cipher.hpp"
+#include "crypto/mac.hpp"
 #include "edu/edu.hpp"
 #include "edu/timing.hpp"
 
@@ -32,7 +33,7 @@ class gi_edu final : public edu {
  public:
   /// \param cipher the 3-DES core; \param mac_key keyed-hash key.
   gi_edu(sim::memory_port& lower, const crypto::block_cipher& cipher,
-         bytes mac_key, gi_edu_config cfg);
+         std::span<const u8> mac_key, gi_edu_config cfg);
 
   [[nodiscard]] std::string_view name() const noexcept override { return "GI-3DES-CBC+MAC"; }
 
@@ -81,7 +82,7 @@ class gi_edu final : public edu {
   [[nodiscard]] bool recently_verified(addr_t seg_base) const noexcept;
 
   const crypto::block_cipher* cipher_;
-  bytes mac_key_;
+  crypto::hmac_key mac_key_;
   gi_edu_config cfg_;
   std::unordered_map<addr_t, bytes> tags_; ///< tag store (modelled on-chip/side-band)
   std::vector<addr_t> verified_lru_;

@@ -1,7 +1,6 @@
 #include "edu/integrity_edu.hpp"
 
 #include "common/bitops.hpp"
-#include "crypto/mac.hpp"
 #include "edu/batch.hpp"
 
 #include <algorithm>
@@ -11,8 +10,8 @@
 namespace buscrypt::edu {
 
 integrity_edu::integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
-                             bytes mac_key, integrity_edu_config cfg)
-    : edu(lower), prf_(&prf), mac_key_(std::move(mac_key)), cfg_(cfg) {
+                             std::span<const u8> mac_key, integrity_edu_config cfg)
+    : edu(lower), prf_(&prf), mac_key_(mac_key), cfg_(cfg) {
   if (cfg_.line_bytes == 0 || cfg_.line_bytes % prf.block_size() != 0)
     throw std::invalid_argument("integrity_edu: line must be a PRF-block multiple");
   if (cfg_.tag_bytes == 0 || cfg_.tag_bytes > 32)
@@ -54,12 +53,10 @@ void integrity_edu::pad_line(addr_t line_addr, u64 version, std::span<u8> buf) c
 
 bytes integrity_edu::line_tag(addr_t line_addr, u64 version,
                               std::span<const u8> ciphertext) const {
-  bytes msg(16 + ciphertext.size());
-  store_be64(msg.data(), line_addr); // binds the tag to its address (anti-splice)
-  store_be64(msg.data() + 8,
-             cfg_.level == integrity_level::mac_versioned ? version : 0);
-  std::copy(ciphertext.begin(), ciphertext.end(), msg.begin() + 16);
-  return crypto::hmac_sha256_tag(mac_key_, msg, cfg_.tag_bytes);
+  u8 head[16]{};
+  store_be64(head, line_addr); // binds the tag to its address (anti-splice)
+  store_be64(head + 8, cfg_.level == integrity_level::mac_versioned ? version : 0);
+  return mac_key_.tag({head, ciphertext}, cfg_.tag_bytes);
 }
 
 cycles integrity_edu::mac_time(std::size_t nbytes) const noexcept {

@@ -19,6 +19,7 @@
 /// unit latency, and on-chip version RAM.
 
 #include "crypto/block_cipher.hpp"
+#include "crypto/mac.hpp"
 #include "edu/edu.hpp"
 #include "edu/timing.hpp"
 
@@ -50,7 +51,7 @@ class integrity_edu final : public edu {
   /// \param prf     block cipher for the pad and (keyed) tag derivation.
   /// \param mac_key key for the line MACs.
   integrity_edu(sim::memory_port& lower, const crypto::block_cipher& prf,
-                bytes mac_key, integrity_edu_config cfg);
+                std::span<const u8> mac_key, integrity_edu_config cfg);
 
   [[nodiscard]] std::string_view name() const noexcept override;
 
@@ -131,7 +132,7 @@ class integrity_edu final : public edu {
   [[nodiscard]] cycles store_tag(addr_t line_addr, std::span<const u8> tag);
 
   const crypto::block_cipher* prf_;
-  bytes mac_key_;
+  crypto::hmac_key mac_key_;
   integrity_edu_config cfg_;
   std::unordered_map<addr_t, u64> versions_;
   std::unordered_map<addr_t, bytes> tag_cache_; ///< tag-line base -> 64 B

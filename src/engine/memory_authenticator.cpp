@@ -1,7 +1,6 @@
 #include "engine/memory_authenticator.hpp"
 
 #include "common/bitops.hpp"
-#include "crypto/mac.hpp"
 
 #include <algorithm>
 #include <stdexcept>
@@ -29,7 +28,7 @@ namespace {
 
 memory_authenticator::memory_authenticator(sim::memory_port& lower, auth_config cfg,
                                            std::size_t unit_bytes)
-    : lower_(&lower), cfg_(std::move(cfg)), unit_(unit_bytes) {
+    : lower_(&lower), cfg_(std::move(cfg)), unit_(unit_bytes), mac_(cfg_.key) {
   if (cfg_.mode == auth_mode::none)
     throw std::invalid_argument("memory_authenticator: mode none has no state");
   if (cfg_.key.empty())
@@ -92,11 +91,10 @@ bytes memory_authenticator::unit_tag(addr_t unit_addr, u64 version,
                                      std::span<const u8> ct) const {
   // Address in the MAC defeats splicing, the version defeats replay, the
   // ciphertext itself defeats spoofing.
-  bytes msg(16 + ct.size());
-  store_be64(msg.data(), unit_addr);
-  store_be64(msg.data() + 8, version);
-  std::copy(ct.begin(), ct.end(), msg.begin() + 16);
-  return crypto::hmac_sha256_tag(cfg_.key, msg, cfg_.tag_bytes);
+  u8 head[16]{};
+  store_be64(head, unit_addr);
+  store_be64(head + 8, version);
+  return mac_.tag({head, ct}, cfg_.tag_bytes);
 }
 
 cycles memory_authenticator::fetch_tag(addr_t unit_addr, std::span<u8> out) {
@@ -161,21 +159,19 @@ addr_t memory_authenticator::node_addr(unsigned level, u64 index) const noexcept
 }
 
 bytes memory_authenticator::leaf_digest(u64 index, std::span<const u8> ct) const {
-  bytes msg(9 + ct.size());
-  msg[0] = 'L'; // domain separation: a leaf can never collide with a node
-  store_be64(msg.data() + 1, index);
-  std::copy(ct.begin(), ct.end(), msg.begin() + 9);
-  return crypto::hmac_sha256_tag(cfg_.key, msg, cfg_.tag_bytes);
+  u8 head[9]{};
+  head[0] = 'L'; // domain separation: a leaf can never collide with a node
+  store_be64(head + 1, index);
+  return mac_.tag({head, ct}, cfg_.tag_bytes);
 }
 
 bytes memory_authenticator::node_digest(unsigned level, u64 index,
                                         std::span<const u8> children) const {
-  bytes msg(10 + children.size());
-  msg[0] = 'N';
-  msg[1] = static_cast<u8>(level);
-  store_be64(msg.data() + 2, index);
-  std::copy(children.begin(), children.end(), msg.begin() + 10);
-  return crypto::hmac_sha256_tag(cfg_.key, msg, cfg_.tag_bytes);
+  u8 head[10]{};
+  head[0] = 'N';
+  head[1] = static_cast<u8>(level);
+  store_be64(head + 2, index);
+  return mac_.tag({head, children}, cfg_.tag_bytes);
 }
 
 bytes memory_authenticator::read_node(unsigned level, u64 index, cycles& bus,
@@ -229,11 +225,11 @@ bytes memory_authenticator::area_nonce(addr_t unit_addr, u64 version,
                                        std::size_t block) const {
   // A per-block slice of PRF(address, version, block index): relocation
   // changes the address, replay the version, so either garbles the check.
-  bytes msg(24);
-  store_be64(msg.data(), unit_addr);
-  store_be64(msg.data() + 8, version);
-  store_be64(msg.data() + 16, block);
-  return crypto::hmac_sha256_tag(cfg_.key, msg, cfg_.tag_bytes);
+  u8 msg[24]{};
+  store_be64(msg, unit_addr);
+  store_be64(msg + 8, version);
+  store_be64(msg + 16, block);
+  return mac_.tag({msg}, cfg_.tag_bytes);
 }
 
 cycles memory_authenticator::area_encipher(keyed_cipher& kc, addr_t unit_addr,

@@ -38,6 +38,7 @@
 /// key schedule in the datapath.
 
 #include "common/types.hpp"
+#include "crypto/mac.hpp"
 #include "engine/cipher_backend.hpp"
 #include "sim/memory_port.hpp"
 
@@ -320,6 +321,7 @@ class memory_authenticator {
   sim::memory_port* lower_;
   auth_config cfg_;
   std::size_t unit_;
+  crypto::hmac_key mac_; ///< cfg_.key, prepared once for every tag and digest
 
   std::unordered_map<addr_t, u64> versions_; ///< on-chip version RAM (NVM)
 

@@ -150,15 +150,6 @@ bool cell_result::sim_equal(const cell_result& o) const noexcept {
          downgrade_breaches == o.downgrade_breaches && dram_fnv == o.dram_fnv;
 }
 
-u64 fnv1a(std::span<const u8> data) noexcept {
-  u64 h = 0xCBF29CE484222325ULL;
-  for (const u8 b : data) {
-    h ^= b;
-    h *= 0x00000100000001B3ULL;
-  }
-  return h;
-}
-
 std::vector<edu::master_desc> noc_cast(const fleet_cell& cell) {
   const std::size_t n = cell.noc_masters == 0 ? 1 : cell.noc_masters;
   const std::size_t slice = noc_slice(cell);

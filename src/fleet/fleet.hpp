@@ -17,6 +17,7 @@
 /// engine stats are identical whether it runs alone, serially, or on a
 /// 16-thread fleet in randomized order.
 
+#include "common/bitops.hpp"
 #include "edu/edu.hpp"
 #include "edu/soc.hpp"
 #include "engine/churn.hpp"
@@ -248,7 +249,8 @@ struct churn_fleet_result {
 [[nodiscard]] std::string fleet_json(const fleet_config& cfg, const fleet_result& r,
                                      bool include_host = true);
 
-/// FNV-1a 64-bit over a byte span (the DRAM-image fingerprint).
-[[nodiscard]] u64 fnv1a(std::span<const u8> data) noexcept;
+/// FNV-1a 64-bit over a byte span (the DRAM-image fingerprint); defined
+/// once in common/bitops.hpp.
+using buscrypt::fnv1a;
 
 } // namespace buscrypt::fleet

@@ -1,5 +1,6 @@
 #include "update/lifetime.hpp"
 
+#include "common/bitops.hpp"
 #include "engine/cipher_backend.hpp"
 #include "engine/keyslot_manager.hpp"
 #include "sim/bus.hpp"
@@ -8,19 +9,6 @@
 #include <algorithm>
 
 namespace buscrypt::update {
-
-namespace {
-
-u64 fnv1a(std::span<const u8> data) noexcept {
-  u64 h = 14695981039346656037ull;
-  for (const u8 b : data) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-} // namespace
 
 bytes backend_device_key(const std::string& backend, u64 seed) {
   const engine::cipher_backend& b = engine::backend_registry::builtin().at(backend);

@@ -1,5 +1,6 @@
 #include "update/update_agent.hpp"
 
+#include "common/bitops.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/mac.hpp"
 #include "crypto/modes.hpp"
@@ -28,18 +29,15 @@ u64 get_le64(std::span<const u8> in) {
 
 // --- wire format -------------------------------------------------------------
 
-bytes chunk_mac(std::span<const u8> k, u64 version, u64 index,
+bytes chunk_mac(const crypto::hmac_key& k, u64 version, u64 index,
                 std::span<const u8> chunk) {
-  bytes msg;
-  msg.reserve(5 + 16 + chunk.size());
-  for (const char c : {'c', 'h', 'u', 'n', 'k'}) msg.push_back(static_cast<u8>(c));
-  put_le64(msg, index);
-  put_le64(msg, version);
-  msg.insert(msg.end(), chunk.begin(), chunk.end());
-  return crypto::hmac_sha256_tag(k, msg, k_mac_bytes);
+  u8 head[5 + 16] = {'c', 'h', 'u', 'n', 'k'};
+  store_le64(head + 5, index);
+  store_le64(head + 13, version);
+  return k.tag({head, chunk}, k_mac_bytes);
 }
 
-bytes manifest_mac(std::span<const u8> k, const update_package& up) {
+bytes manifest_mac(const crypto::hmac_key& k, const update_package& up) {
   bytes msg;
   msg.reserve(8 + 24 + up.chunk_macs.size() * k_mac_bytes);
   for (const char c : {'m', 'a', 'n', 'i', 'f', 'e', 's', 't'})
@@ -48,7 +46,7 @@ bytes manifest_mac(std::span<const u8> k, const update_package& up) {
   put_le64(msg, up.image_bytes);
   put_le64(msg, static_cast<u64>(up.chunk_bytes));
   for (const bytes& m : up.chunk_macs) msg.insert(msg.end(), m.begin(), m.end());
-  return crypto::hmac_sha256_tag(k, msg, k_mac_bytes);
+  return k.tag({msg}, k_mac_bytes);
 }
 
 update_package make_update_package(const bytes& image, u64 version,
@@ -63,6 +61,7 @@ update_package make_update_package(const bytes& image, u64 version,
 
   // The Fig. 1 symmetric/asymmetric split, verbatim.
   const bytes k = r.random_bytes(16);
+  const crypto::hmac_key mac_k(k);
   up.wire.wrapped_session_key = crypto::rsa_wrap_key(em, k, r);
   up.wire.iv = r.random_bytes(16);
   const crypto::aes session_cipher(k);
@@ -75,10 +74,10 @@ update_package make_update_package(const bytes& image, u64 version,
   for (std::size_t off = 0; off < image.size(); off += chunk_bytes) {
     const std::size_t n = std::min(chunk_bytes, image.size() - off);
     up.chunk_macs.push_back(
-        chunk_mac(k, version, off / chunk_bytes,
+        chunk_mac(mac_k, version, off / chunk_bytes,
                   std::span<const u8>(image).subspan(off, n)));
   }
-  up.manifest_mac = manifest_mac(k, up);
+  up.manifest_mac = manifest_mac(mac_k, up);
 
   ch.send("editor->device: K wrapped under Em", up.wire.wrapped_session_key);
   ch.send("editor->device: IV", up.wire.iv);
@@ -93,7 +92,7 @@ update_package make_update_package(const bytes& image, u64 version,
 // --- journal -----------------------------------------------------------------
 
 bytes update_journal::record_mac(std::span<const u8> body) const {
-  return crypto::hmac_sha256_tag(key_, body, 8);
+  return key_.tag({body}, 8);
 }
 
 bytes update_journal::encode_record(u64 seq, update_state st, u8 slot, u64 version,
@@ -283,13 +282,19 @@ update_report update_agent::apply(const update_package& up) {
   // MAC'd the manifest — so a version field survives the check only if
   // the editor authorised it.
   bytes k;
-  bytes image;
   try {
     k = crypto::rsa_unwrap_key(dm_, up.wire.wrapped_session_key);
-    if (!crypto::tag_equal(manifest_mac(k, up), up.manifest_mac)) {
-      rep.status = update_status::verify_failed;
-      return rep;
-    }
+  } catch (const std::invalid_argument&) {
+    rep.status = update_status::verify_failed;
+    return rep;
+  }
+  const crypto::hmac_key mac_k(k);
+  if (!crypto::tag_equal(manifest_mac(mac_k, up), up.manifest_mac)) {
+    rep.status = update_status::verify_failed;
+    return rep;
+  }
+  bytes image;
+  try {
     const crypto::aes session_cipher(k);
     bytes padded(up.wire.ciphered_image.size());
     crypto::cbc_decrypt(session_cipher, up.wire.iv, up.wire.ciphered_image, padded);
@@ -318,10 +323,10 @@ update_report update_agent::apply(const update_package& up) {
   journal_.append(update_state::staged, static_cast<u8>(1 - active_), up.version,
                   up.image_bytes, *fi_);
 
-  return drive(up, k, /*resumed=*/false);
+  return drive(up, mac_k, /*resumed=*/false);
 }
 
-update_report update_agent::drive(const update_package& up, std::span<const u8> k,
+update_report update_agent::drive(const update_package& up, const crypto::hmac_key& k,
                                   bool resumed) {
   const unsigned target = 1 - active_;
   update_report rep;
@@ -480,7 +485,8 @@ update_report update_agent::recover(const update_package* pkg) {
     } catch (const std::invalid_argument&) {
       return roll_back(update_status::verify_failed);
     }
-    if (!crypto::tag_equal(manifest_mac(k, *pkg), pkg->manifest_mac))
+    const crypto::hmac_key mac_k(k);
+    if (!crypto::tag_equal(manifest_mac(mac_k, *pkg), pkg->manifest_mac))
       return roll_back(update_status::verify_failed);
     if (!pending) {
       // The cut landed before the staged record: nothing usable is in
@@ -492,7 +498,7 @@ update_report update_agent::recover(const update_package* pkg) {
       (void)eng_->attach_auth(ctx_session_,
                               window_auth(cfg_.staging_base, cfg_.slot_bytes,
                                           cfg_.tag_base_staging));
-    return drive(*pkg, k, /*resumed=*/true);
+    return drive(*pkg, mac_k, /*resumed=*/true);
   }
 
   if (!pending && !torn_tail) {

@@ -36,6 +36,7 @@
 /// Every phase boundary is a fault_injector hook (flush), every DRAM beat
 /// and journal byte a potential cut, which is what tab13 sweeps.
 
+#include "crypto/mac.hpp"
 #include "engine/bus_encryption_engine.hpp"
 #include "keymgmt/session.hpp"
 #include "sim/fault_injector.hpp"
@@ -130,11 +131,11 @@ struct update_package {
 /// The per-chunk MAC (16 bytes): HMAC-SHA256(K, "chunk" || index || version
 /// || plaintext-chunk), truncated. Exposed so the agent's readback verify
 /// and the tests share one definition with the packager.
-[[nodiscard]] bytes chunk_mac(std::span<const u8> k, u64 version, u64 index,
+[[nodiscard]] bytes chunk_mac(const crypto::hmac_key& k, u64 version, u64 index,
                               std::span<const u8> chunk);
 
 /// The manifest MAC (16 bytes) over version, geometry and every chunk MAC.
-[[nodiscard]] bytes manifest_mac(std::span<const u8> k, const update_package& up);
+[[nodiscard]] bytes manifest_mac(const crypto::hmac_key& k, const update_package& up);
 
 // --- the on-chip journal -----------------------------------------------------
 
@@ -150,7 +151,7 @@ class update_journal {
   static constexpr std::size_t k_record_bytes = 40;
 
   /// \param mac_key the device journal key (on-chip, never external).
-  explicit update_journal(bytes mac_key) : key_(std::move(mac_key)) {}
+  explicit update_journal(std::span<const u8> mac_key) : key_(mac_key) {}
 
   struct entry {
     u64 seq = 0;
@@ -202,7 +203,7 @@ class update_journal {
   [[nodiscard]] bytes encode_record(u64 seq, update_state st, u8 slot, u64 version,
                                     u64 image_bytes) const;
 
-  bytes key_;
+  crypto::hmac_key key_;
   bytes store_; ///< on-chip NVM: survives power cycles
 };
 
@@ -315,7 +316,7 @@ class update_agent {
   [[nodiscard]] bool wait_bus(update_report& rep, cycles& acc);
   /// The staged-verify → install → readback → commit drive shared by
   /// apply() and resume. \p resumed marks the report accordingly.
-  [[nodiscard]] update_report drive(const update_package& up, std::span<const u8> k,
+  [[nodiscard]] update_report drive(const update_package& up, const crypto::hmac_key& k,
                                     bool resumed);
   [[nodiscard]] update_report roll_back(update_status why);
   /// Adopt boot state from the newest valid committed journal record.

@@ -1,5 +1,5 @@
 // AES known-answer tests (FIPS-197 appendix C, NIST SP 800-38A) plus
-// structural and property tests.
+// structural and property tests and the AES-NI-vs-T-table kernel check.
 
 #include "common/bitops.hpp"
 #include "common/hex.hpp"
@@ -235,6 +235,35 @@ TEST_P(AesProperty, KeySensitivity) {
   key[0] ^= 1;
   aes(key).encrypt_block(pt, ct_b);
   EXPECT_GE(hamming_bits(ct_a, ct_b), 40u);
+}
+
+// The AES-NI kernels against the T-table ones on the same schedules: every
+// key width, both directions, 1..9 blocks (the 4-way body, its 1..3-block
+// tail and both together), out-of-place and in place.
+TEST_P(AesProperty, AesNiKernelsMatchTTable) {
+  const detail::aes_kernels ni = detail::aes_ni_kernels();
+  if (ni.encrypt == nullptr) GTEST_SKIP() << "no AES-NI kernel in this build or on this CPU";
+  const detail::aes_kernels tt = detail::aes_ttable_kernels();
+  rng r(GetParam() + 400);
+  for (int k = 0; k < 16; ++k) {
+    const aes c(r.random_bytes(GetParam()));
+    for (const bool dec : {false, true}) {
+      const u32* rk = c.schedule(dec).data();
+      const detail::aes_blocks_fn slow = dec ? tt.decrypt : tt.encrypt;
+      const detail::aes_blocks_fn fast = dec ? ni.decrypt : ni.encrypt;
+      for (std::size_t blocks = 1; blocks <= 9; ++blocks) {
+        const bytes in = r.random_bytes(16 * blocks);
+        bytes want(in.size()), got(in.size());
+        slow(rk, c.rounds(), in.data(), want.data(), blocks);
+        fast(rk, c.rounds(), in.data(), got.data(), blocks);
+        ASSERT_EQ(got, want) << "key " << k << (dec ? " dec " : " enc ") << blocks;
+        bytes inplace = in;
+        fast(rk, c.rounds(), inplace.data(), inplace.data(), blocks);
+        ASSERT_EQ(inplace, want) << "in place, key " << k << (dec ? " dec " : " enc ")
+                                 << blocks;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKeyWidths, AesProperty,
