@@ -73,7 +73,7 @@ cycles aegis_edu::read(addr_t addr, std::span<u8> out) {
 
 void aegis_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  txn_batcher& b = open_window();
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.core.blocks_for(lb);
   for (sim::mem_txn& txn : batch) {
@@ -85,7 +85,7 @@ void aegis_edu::submit(std::span<sim::mem_txn> batch) {
         break;
       }
     if (!eligible) {
-      b.detour_via(txn, *this);
+      b.detour_via(txn, scalar_unit(*this));
       continue;
     }
     for (sim::txn_segment& seg : txn.segments) {

@@ -8,8 +8,8 @@ void txn_batcher::flush() {
   if (!open()) return;
 
   cycles mem_span = 0;
-  if (!lower_.empty()) {
-    port_->submit(lower_);
+  if (nlower_ != 0) {
+    port_->submit(std::span<sim::mem_txn>(lower_.data(), nlower_));
     mem_span = port_->drain();
   }
   auto arrival_of = [&](std::size_t li) -> cycles {
@@ -19,15 +19,14 @@ void txn_batcher::flush() {
   // Per-owner finishes, stamped in staging (= submission) order below.
   // Lower arrivals seed them so a pre-enciphered write completes with its
   // bus transfer.
-  std::vector<std::pair<sim::mem_txn*, cycles>> fins;
-  fins.reserve(order_.size());
-  for (sim::mem_txn* t : order_) fins.emplace_back(t, 0);
+  fins_.clear();
+  for (sim::mem_txn* t : order_) fins_.emplace_back(t, 0);
   auto fin_of = [&](sim::mem_txn* t) -> cycles& {
-    for (auto& [owner, fin] : fins)
+    for (auto& [owner, fin] : fins_)
       if (owner == t) return fin;
-    return fins.emplace_back(t, 0).second;
+    return fins_.emplace_back(t, 0).second;
   };
-  for (std::size_t i = 0; i < lower_.size(); ++i)
+  for (std::size_t i = 0; i < nlower_; ++i)
     if (owners_[i] != nullptr) {
       cycles& f = fin_of(owners_[i]);
       f = std::max(f, lower_[i].complete_cycle);
@@ -68,7 +67,7 @@ void txn_batcher::flush() {
   // In-order retirement: stamps are monotone in staging order and never
   // exceed the window makespan.
   cycles mono = 0;
-  for (auto& [owner, fin] : fins) {
+  for (auto& [owner, fin] : fins_) {
     mono = std::max(mono, fin);
     owner->complete_cycle = base_ + clock_ + mono;
   }
@@ -76,13 +75,7 @@ void txn_batcher::flush() {
 
   for (auto& fn : end_fns_) fn();
 
-  lower_.clear();
-  owners_.clear();
-  order_.clear();
-  jobs_.clear();
-  end_fns_.clear();
-  aux_.clear();
-  pre_total_ = 0;
+  clear_window();
   ++flush_seq_;
 }
 

@@ -99,7 +99,7 @@ cycles block_edu::read(addr_t addr, std::span<u8> out) {
 
 void block_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  txn_batcher& b = open_window();
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     bool eligible = !txn.segments.empty();
@@ -110,7 +110,7 @@ void block_edu::submit(std::span<sim::mem_txn> batch) {
         break;
       }
     if (!eligible) {
-      b.detour_via(txn, *this);
+      b.detour_via(txn, scalar_unit(*this));
       continue;
     }
     // One count per segment, matching scalar issue of the same ops.

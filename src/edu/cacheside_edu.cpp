@@ -15,26 +15,23 @@ void cacheside_edu::pad_for(addr_t addr, std::span<u8> pad_out) {
   stats_.cipher_blocks += pad_.blocks_covering(addr, pad_out.size());
 }
 
-cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> inout,
-                                                  bool is_write,
-                                                  std::span<const u8> wdata) {
+cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> data,
+                                                  bool is_write) {
   const bool was_resident = cache_->contains(addr);
   const sim::cache_config& cc = cache_->config();
 
   access_io io;
+  pad_buf_.resize(data.size());
+  pad_for(addr, pad_buf_);
   if (is_write) {
     // Encrypt the store data, then let the (ciphertext) cache absorb it.
-    bytes ct(wdata.begin(), wdata.end());
-    bytes pad(ct.size());
-    pad_for(addr, pad);
-    xor_bytes(ct, pad);
-    io.below = lower_->write(addr, ct);
+    ct_buf_.assign(data.begin(), data.end());
+    xor_bytes(ct_buf_, pad_buf_);
+    io.below = lower_->write(addr, ct_buf_);
     ++stats_.writes;
   } else {
-    io.below = lower_->read(addr, inout);
-    bytes pad(inout.size());
-    pad_for(addr, pad);
-    xor_bytes(inout, pad);
+    io.below = lower_->read(addr, data);
+    xor_bytes(data, pad_buf_);
     ++stats_.reads;
   }
 
@@ -56,16 +53,6 @@ cacheside_edu::access_io cacheside_edu::do_access(addr_t addr, std::span<u8> ino
   return io;
 }
 
-cycles cacheside_edu::access(addr_t addr, std::span<u8> inout, bool is_write,
-                             std::span<const u8> wdata) {
-  const access_io io = do_access(addr, inout, is_write, wdata);
-  // Scalar issue: only this access's own fetch can hide its regeneration.
-  const cycles over = io.ks > io.fetch ? io.ks - io.fetch : 0;
-  overrun_ += over;
-  stats_.crypto_cycles += over;
-  return io.below + over;
-}
-
 void cacheside_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
   const cycles base = pending_txn_cycles_;
@@ -75,9 +62,7 @@ void cacheside_edu::submit(std::span<sim::mem_txn> batch) {
   cycles fetch_total = 0; ///< external-fetch time it can hide behind
   for (sim::mem_txn& txn : batch) {
     for (sim::txn_segment& seg : txn.segments) {
-      const access_io io =
-          do_access(seg.addr, seg.data, txn.is_write(),
-                    std::span<const u8>(seg.data));
+      const access_io io = do_access(seg.addr, seg.data, txn.is_write());
       served += io.below;
       ks_total += io.ks;
       fetch_total += io.fetch;
@@ -88,14 +73,6 @@ void cacheside_edu::submit(std::span<sim::mem_txn> batch) {
   overrun_ += overrun;
   stats_.crypto_cycles += overrun;
   pending_txn_cycles_ += served + overrun;
-}
-
-cycles cacheside_edu::read(addr_t addr, std::span<u8> out) {
-  return access(addr, out, /*is_write=*/false, {});
-}
-
-cycles cacheside_edu::write(addr_t addr, std::span<const u8> in) {
-  return access(addr, {}, /*is_write=*/true, in);
 }
 
 } // namespace buscrypt::edu

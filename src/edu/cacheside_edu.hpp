@@ -37,16 +37,14 @@ class cacheside_edu final : public edu {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "CacheSide-OTP"; }
 
-  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
-  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
-
   /// Native batch path. The cipher stage sits on the CPU<->cache path, so
   /// there is no lower bus window to overlap — the cache serves the
-  /// transactions in order exactly as scalar issue would. What a batch
+  /// transactions in order, one access at a time. What a batch
   /// *can* overlap is the keystream RAM refills: each missed line's
   /// regeneration may run during any other miss's external fetch, so the
   /// window pays only the excess of the total regeneration over the total
-  /// fetch time (pooled), where scalar issue pays each overrun alone.
+  /// fetch time (pooled); a scalar access, a window of one, pays its own
+  /// overrun alone.
   void submit(std::span<sim::mem_txn> batch) override;
 
   /// Size of the on-chip keystream RAM the scheme requires — by
@@ -60,25 +58,24 @@ class cacheside_edu final : public edu {
   [[nodiscard]] cycles keystream_overrun_cycles() const noexcept { return overrun_; }
 
  private:
-  /// One access through the (ciphertext) cache, shared by the scalar and
-  /// batched paths: functional transform + cache time, plus the keystream
-  /// refill this access owes and the fetch window it can hide behind
-  /// (nonzero only when the touched line (re)entered the cache).
+  /// One access through the (ciphertext) cache: functional transform +
+  /// cache time, plus the keystream refill this access owes and the fetch
+  /// window it can hide behind (nonzero only when the touched line
+  /// (re)entered the cache).
   struct access_io {
     cycles below = 0; ///< cache time + the per-access XOR stage
     cycles ks = 0;    ///< keystream regeneration owed
     cycles fetch = 0; ///< external-fetch window available to hide it
   };
-  [[nodiscard]] access_io do_access(addr_t addr, std::span<u8> inout, bool is_write,
-                                    std::span<const u8> wdata);
-  [[nodiscard]] cycles access(addr_t addr, std::span<u8> inout, bool is_write,
-                              std::span<const u8> wdata);
+  [[nodiscard]] access_io do_access(addr_t addr, std::span<u8> data, bool is_write);
   void pad_for(addr_t addr, std::span<u8> pad_out);
 
   sim::cache* cache_;
   crypto::address_pad pad_;
   cacheside_edu_config cfg_;
   cycles overrun_ = 0;
+  bytes pad_buf_; ///< keystream of the current access, kept across calls
+  bytes ct_buf_;  ///< store data enciphered for the cache, ditto
 };
 
 } // namespace buscrypt::edu

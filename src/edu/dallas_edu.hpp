@@ -53,11 +53,11 @@ class dallas_byte_edu final : public edu {
   /// chained after each arrival.
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
-    txn_batcher b(*lower_, pending_txn_cycles_);
+    txn_batcher& b = open_window();
     for (sim::mem_txn& txn : batch) {
       b.begin_txn(txn);
       if (txn.segments.empty()) { // nothing to schedule: retire in place
-        b.detour_via(txn, *this);
+        b.detour_via(txn, scalar_unit(*this));
         continue;
       }
       for (sim::txn_segment& seg : txn.segments) {

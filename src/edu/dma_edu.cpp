@@ -122,7 +122,7 @@ cycles dma_edu::write(addr_t addr, std::span<const u8> in) {
 
 void dma_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  txn_batcher& b = open_window();
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.page_bytes);
   // Buffers whose data is still in flight in the current window: a pending
   // fill or a store whose copy-in runs at window retirement. Evicting one
@@ -135,7 +135,7 @@ void dma_edu::submit(std::span<sim::mem_txn> batch) {
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
     if (txn.segments.empty()) {
-      b.detour_via(txn, *this);
+      b.detour_via(txn, scalar_unit(*this));
       in_flight.clear(); // the detour's flush settled every buffer
       continue;
     }

@@ -1,8 +1,19 @@
 #include "edu/edu.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 namespace buscrypt::edu {
+
+cycles edu::one_txn(sim::txn_op op, addr_t addr, std::span<u8> data) {
+  // drain() would hand this call the open window's cycles too.
+  if (pending_txn_cycles_ != 0)
+    throw std::logic_error("edu: scalar access while a submit() window is undrained");
+  scalar_txn_.op = op;
+  scalar_txn_.segments.assign(1, {addr, data});
+  submit(std::span<sim::mem_txn>(&scalar_txn_, 1));
+  return drain();
+}
 
 void edu::install_image(addr_t base, std::span<const u8> plain) {
   const std::size_t chunk = preferred_chunk();

@@ -5,6 +5,7 @@
 /// (Best's rule, Fig. 2c) — everything above it sees plaintext, everything
 /// below it (bus, DRAM, probes, attackers) sees ciphertext.
 
+#include "edu/batch.hpp"
 #include "sim/memory_port.hpp"
 
 #include <span>
@@ -27,7 +28,7 @@ struct edu_stats {
 /// timing policy; the plaintext baseline is plain_edu.
 class edu : public sim::memory_port {
  public:
-  explicit edu(sim::memory_port& lower) : lower_(&lower) {}
+  explicit edu(sim::memory_port& lower) : lower_(&lower), batcher_(lower) {}
 
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
@@ -41,15 +42,21 @@ class edu : public sim::memory_port {
   /// without charging time (verification/test hook).
   virtual void read_image(addr_t base, std::span<u8> plain_out);
 
-  /// Default transaction adapter: every surveyed EDU is batch-capable out
-  /// of the box by serialising the batch through its own scalar
-  /// read()/write() (functionally identical, no overlap). EDUs whose
-  /// hardware genuinely overlaps crypto with the bus (stream_edu, the
-  /// keyslot engine) override this with a native batch path.
-  void submit(std::span<sim::mem_txn> batch) override {
-    note_batch(batch.size());
-    sim::memory_port::submit(batch);
+  /// A scalar access is a one-transaction window of submit(). EDUs whose
+  /// window of one costs different cycles keep their own scalar datapaths
+  /// (docs/architecture.md). \throws std::logic_error inside an open window.
+  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override {
+    return one_txn(sim::txn_op::read, addr, out);
   }
+  /// The source span rides the window's mutable segment; no port writes
+  /// into a write's source (the \ref txn_contract segment rule).
+  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override {
+    return one_txn(sim::txn_op::write, addr,
+                   std::span<u8>(const_cast<u8*>(in.data()), in.size()));
+  }
+
+  /// Every EDU serves batches natively (the datapath scalar calls use too).
+  void submit(std::span<sim::mem_txn> batch) override = 0;
 
   [[nodiscard]] const edu_stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
@@ -63,8 +70,21 @@ class edu : public sim::memory_port {
     stats_.batched_txns += txns;
   }
 
+  /// The staging engine of a native submit(), re-based on this port's
+  /// accumulator; its buffers outlive each call.
+  [[nodiscard]] txn_batcher& open_window() {
+    batcher_.reset(pending_txn_cycles_);
+    return batcher_;
+  }
+
   sim::memory_port* lower_;
   edu_stats stats_;
+
+ private:
+  [[nodiscard]] cycles one_txn(sim::txn_op op, addr_t addr, std::span<u8> data);
+
+  txn_batcher batcher_;
+  sim::mem_txn scalar_txn_; ///< reused by every scalar call: no allocation
 };
 
 } // namespace buscrypt::edu

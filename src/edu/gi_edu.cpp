@@ -49,28 +49,27 @@ bool gi_edu::recently_verified(addr_t seg_base) const noexcept {
          verified_lru_.end();
 }
 
-gi_edu::segment_io gi_edu::load_segment(addr_t seg_base) {
-  segment_io io;
-  io.plain.resize(cfg_.segment_bytes);
-  const cycles mem = lower_->read(seg_base, io.plain);
-
-  bytes iv(cipher_->block_size());
-  derive_iv(seg_base, iv);
-  crypto::cbc_decrypt(*cipher_, iv, io.plain, io.plain);
+gi_edu::fetch_plan gi_edu::plan_fetch(addr_t seg_base) {
   const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
-  stats_.cipher_blocks += nblocks + 1;
-  const cycles crypt = cfg_.core.time_parallel(nblocks);
-
-  io.spent = mem + crypt;
-  if (cfg_.authenticate && !recently_verified(seg_base)) {
-    const bytes tag = compute_tag(seg_base, io.plain);
-    const auto it = tags_.find(seg_base);
-    if (it == tags_.end() || !crypto::tag_equal(tag, it->second)) ++auth_failures_;
-    io.spent += hash_time(cfg_.segment_bytes);
+  fetch_plan plan{cfg_.core.time_parallel(nblocks),
+                  cfg_.authenticate && !recently_verified(seg_base)};
+  if (plan.verify) {
+    plan.crypt += hash_time(cfg_.segment_bytes);
     touch_verified(seg_base);
   }
-  stats_.crypto_cycles += io.spent - mem;
-  return io;
+  stats_.cipher_blocks += nblocks + 1;
+  stats_.crypto_cycles += plan.crypt;
+  return plan;
+}
+
+void gi_edu::open_segment(addr_t seg_base, std::span<u8> buf, bool verify) {
+  bytes iv(cipher_->block_size());
+  derive_iv(seg_base, iv);
+  crypto::cbc_decrypt(*cipher_, iv, buf, buf);
+  if (!verify) return;
+  const bytes tag = compute_tag(seg_base, buf);
+  const auto it = tags_.find(seg_base);
+  if (it == tags_.end() || !crypto::tag_equal(tag, it->second)) ++auth_failures_;
 }
 
 cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
@@ -92,36 +91,20 @@ cycles gi_edu::store_segment(addr_t seg_base, std::span<const u8> plain) {
   return spent;
 }
 
-cycles gi_edu::read(addr_t addr, std::span<u8> out) {
-  ++stats_.reads;
-  cycles total = 0;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const addr_t a = addr + done;
-    const addr_t base = a - a % cfg_.segment_bytes;
-    const std::size_t off = static_cast<std::size_t>(a - base);
-    const std::size_t n = std::min(cfg_.segment_bytes - off, out.size() - done);
-    segment_io io = load_segment(base);
-    for (std::size_t i = 0; i < n; ++i) out[done + i] = io.plain[off + i];
-    total += io.spent;
-    done += n;
-  }
-  return total;
-}
-
 void gi_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
-  const std::size_t nblocks = cfg_.core.blocks_for(cfg_.segment_bytes);
+  txn_batcher& b = open_window();
   for (sim::mem_txn& txn : batch) {
     b.begin_txn(txn);
-    // Writes RMW whole segments (data-dependent ciphertext): scalar detour.
+    // Writes RMW whole segments (data-dependent ciphertext): detour.
     if (txn.is_write() || txn.segments.empty()) {
-      b.detour_via(txn, *this);
+      b.detour_via(txn, [this](bool, addr_t addr, std::span<u8> data) {
+        return write_segments(addr, data);
+      });
       continue;
     }
     for (sim::txn_segment& seg : txn.segments) {
-      ++stats_.reads; // one count per segment, as scalar issue of this op
+      ++stats_.reads; // one count per segment
       std::size_t done = 0;
       while (done < seg.data.size()) {
         const addr_t a = seg.addr + done;
@@ -133,23 +116,10 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
         const std::size_t li = b.queue(sim::txn_op::read, txn.master, base, buf);
         // The verified-LRU decision is state, not data: advance it in
         // submission order now so later ops in the window see it.
-        const bool verify = cfg_.authenticate && !recently_verified(base);
-        if (verify) touch_verified(base);
-        const cycles crypt = cfg_.core.time_parallel(nblocks) +
-                             (verify ? hash_time(cfg_.segment_bytes) : 0);
-        stats_.cipher_blocks += nblocks + 1;
-        stats_.crypto_cycles += crypt;
-        b.add_gated(li, txn_batcher::no_lower, crypt,
-                    [this, base, &buf, off, out = seg.data.subspan(done, n), verify] {
-                      bytes iv(cipher_->block_size());
-                      derive_iv(base, iv);
-                      crypto::cbc_decrypt(*cipher_, iv, buf, buf);
-                      if (verify) {
-                        const bytes tag = compute_tag(base, buf);
-                        const auto it = tags_.find(base);
-                        if (it == tags_.end() || !crypto::tag_equal(tag, it->second))
-                          ++auth_failures_;
-                      }
+        const fetch_plan plan = plan_fetch(base);
+        b.add_gated(li, txn_batcher::no_lower, plan.crypt,
+                    [this, base, &buf, off, out = seg.data.subspan(done, n), plan] {
+                      open_segment(base, buf, plan.verify);
                       std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
                                   out.size(), out.begin());
                     });
@@ -161,7 +131,7 @@ void gi_edu::submit(std::span<sim::mem_txn> batch) {
   pending_txn_cycles_ += b.clock();
 }
 
-cycles gi_edu::write(addr_t addr, std::span<const u8> in) {
+cycles gi_edu::write_segments(addr_t addr, std::span<const u8> in) {
   ++stats_.writes;
   cycles total = 0;
   std::size_t done = 0;
@@ -178,10 +148,14 @@ cycles gi_edu::write(addr_t addr, std::span<const u8> in) {
       // Whole-segment read-modify-write: the CBC chain and the tag both
       // cover the full segment.
       ++stats_.rmw_ops;
-      segment_io io = load_segment(base);
-      total += io.spent;
-      for (std::size_t i = 0; i < n; ++i) io.plain[off + i] = in[done + i];
-      total += store_segment(base, io.plain);
+      bytes plain(cfg_.segment_bytes);
+      total += lower_->read(base, plain);
+      const fetch_plan plan = plan_fetch(base);
+      open_segment(base, plain, plan.verify);
+      total += plan.crypt;
+      std::copy_n(in.begin() + static_cast<std::ptrdiff_t>(done), n,
+                  plain.begin() + static_cast<std::ptrdiff_t>(off));
+      total += store_segment(base, plain);
     }
     done += n;
   }

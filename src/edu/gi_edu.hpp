@@ -37,18 +37,15 @@ class gi_edu final : public edu {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "GI-3DES-CBC+MAC"; }
 
-  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
-  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
-
   /// Native batch path for reads: every touched segment's whole-chain
   /// fetch rides one lower window (multi-bank overlap across segments),
   /// with the pipelined 3-DES decipher and the keyed-hash verification
   /// chained on the serial units after each segment's own data arrival —
   /// the MAC unit streams one segment while the bus fetches the next.
   /// The recently-verified window advances in submission order at staging,
-  /// so hash charges match scalar issue exactly. Writes are whole-segment
-  /// read-modify-write (ciphertext depends on fetched data), so they
-  /// detour through the scalar path in order.
+  /// so hash charges match a run of one-transaction windows exactly.
+  /// Writes are whole-segment read-modify-write (ciphertext depends on
+  /// fetched data), so they detour in order through write_segments().
   void submit(std::span<sim::mem_txn> batch) override;
 
   /// Count of authentication failures detected (tampering).
@@ -65,13 +62,18 @@ class gi_edu final : public edu {
   }
 
  private:
-  struct segment_io {
-    bytes plain;
-    cycles spent = 0;
-  };
+  /// The blocking write datapath: whole segments stored, partial ones RMW'd.
+  [[nodiscard]] cycles write_segments(addr_t addr, std::span<const u8> in);
 
-  /// Fetch + decrypt (+ verify) a whole segment.
-  segment_io load_segment(addr_t seg_base);
+  /// A segment fetch's decipher (+ keyed-hash) charge; verifying advances
+  /// the verified window, so call it in submission order.
+  struct fetch_plan {
+    cycles crypt = 0;
+    bool verify = false;
+  };
+  [[nodiscard]] fetch_plan plan_fetch(addr_t seg_base);
+  /// Decipher a fetched segment in place; check its tag if \p verify.
+  void open_segment(addr_t seg_base, std::span<u8> buf, bool verify);
   /// Encrypt + tag + write back a whole segment.
   [[nodiscard]] cycles store_segment(addr_t seg_base, std::span<const u8> plain);
 

@@ -13,6 +13,8 @@ gilmont_edu::gilmont_edu(sim::memory_port& lower, const crypto::block_cipher& ci
     : edu(lower), cipher_(&cipher), cfg_(cfg) {
   if (cfg_.line_bytes % cipher.block_size() != 0)
     throw std::invalid_argument("gilmont_edu: line must be a block multiple");
+  if (cfg_.code_limit % cfg_.line_bytes != 0)
+    throw std::invalid_argument("gilmont_edu: code_limit must be line-aligned");
   pf_data_.resize(cfg_.line_bytes);
 }
 
@@ -39,58 +41,17 @@ void gilmont_edu::prefetch(addr_t line_addr) {
   pf_addr_ = line_addr;
 }
 
-cycles gilmont_edu::read(addr_t addr, std::span<u8> out) {
-  ++stats_.reads;
-  // Data region: clear-form passthrough (the surveyed limitation).
-  if (addr >= cfg_.code_limit) return lower_->read(addr, out);
-
-  if (addr % cfg_.line_bytes != 0 || out.size() != cfg_.line_bytes) {
-    // Split to line-aligned requests.
-    const addr_t base = addr - addr % cfg_.line_bytes;
-    const addr_t end_addr = addr + out.size();
-    const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                           ? end_addr
-                           : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-    bytes buf(static_cast<std::size_t>(end - base));
-    cycles total = 0;
-    for (addr_t a = base; a < end; a += cfg_.line_bytes)
-      total += read(a, std::span<u8>(buf).subspan(static_cast<std::size_t>(a - base),
-                                                  cfg_.line_bytes));
-    const std::size_t head = static_cast<std::size_t>(addr - base);
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = buf[head + i];
-    return total;
-  }
-
-  if (cfg_.fetch_prediction && pf_valid_ && pf_addr_ == addr) {
-    // Predicted correctly: the line is already fetched AND deciphered.
-    ++prefetch_hits_;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = pf_data_[i];
-    pf_valid_ = false;
-    prefetch(addr + cfg_.line_bytes);
-    return 1;
-  }
-
-  ++prefetch_misses_;
-  const cycles mem = lower_->read(addr, out);
-  crypt_line(out, /*encrypt=*/false);
-  const cycles crypt =
-      cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(out.size())) : 0;
-  stats_.crypto_cycles += crypt;
-  if (cfg_.fetch_prediction) prefetch(addr + cfg_.line_bytes);
-  return mem + crypt;
-}
-
 void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  txn_batcher& b = open_window();
   const std::size_t lb = cfg_.line_bytes;
 
   // Window view of the one-deep prefetch buffer. Each background fetch
   // executes as an uncharged zero-cycle retirement job: after the window's
   // demand traffic has drained (the prefetcher yields the bus to demand
   // fetches) but before any later hit's copy-out that depends on it. Its
-  // cycles stay off the critical path, exactly as the scalar model's
-  // fire-and-forget read; wpf_buf points at the staged fill until the
+  // cycles stay off the critical path, exactly as the detour's
+  // fire-and-forget prefetch(); wpf_buf points at the staged fill until the
   // flush hook commits the last one into pf_data_.
   bool wpf_valid = pf_valid_;
   addr_t wpf_addr = pf_addr_;
@@ -143,9 +104,11 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
     }
     if (!eligible) {
       // The flush inside commits the window's prefetch state into
-      // pf_data_; the scalar detour may then move the predictor, so
+      // pf_data_; the detour may then move the predictor, so
       // resynchronise the window view afterwards.
-      b.detour_via(txn, *this);
+      b.detour_via(txn, [this](bool write, addr_t addr, std::span<u8> data) {
+        return serve_detour(write, addr, data);
+      });
       wpf_valid = pf_valid_;
       wpf_addr = pf_addr_;
       wpf_buf = nullptr;
@@ -192,39 +155,73 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
   pending_txn_cycles_ += b.clock();
 }
 
-cycles gilmont_edu::write(addr_t addr, std::span<const u8> in) {
-  ++stats_.writes;
-  if (addr >= cfg_.code_limit) return lower_->write(addr, in); // data: clear form
+cycles gilmont_edu::serve_detour(bool write, addr_t addr, std::span<u8> data) {
+  if (write) ++stats_.writes;
+  else ++stats_.reads;
+  // Data region: clear-form passthrough (the surveyed limitation).
+  if (addr >= cfg_.code_limit)
+    return write ? lower_->write(addr, data) : lower_->read(addr, data);
+
+  // Cover the code bytes with whole lines. A write's bytes at or above
+  // code_limit are data: they stay clear form, outside the cover.
+  const std::size_t lb = cfg_.line_bytes;
+  const std::size_t code_len =
+      write ? std::min<std::size_t>(data.size(), cfg_.code_limit - addr) : data.size();
+  const addr_t base = addr - addr % lb;
+  const addr_t end = (addr + code_len + lb - 1) / lb * lb;
+  const std::size_t span_len = static_cast<std::size_t>(end - base);
+  const std::size_t head = static_cast<std::size_t>(addr - base);
+
+  if (!write && (head != 0 || data.size() != lb)) {
+    // Split to line-aligned requests.
+    bytes buf(span_len);
+    cycles total = 0;
+    for (std::size_t off = 0; off < span_len; off += lb)
+      total += serve_detour(false, base + off, std::span<u8>(buf).subspan(off, lb));
+    std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(head), data.size(),
+                data.begin());
+    return total;
+  }
+
+  if (!write && cfg_.fetch_prediction && pf_valid_ && pf_addr_ == addr) {
+    // Predicted correctly: the line is already fetched AND deciphered.
+    ++prefetch_hits_;
+    std::copy(pf_data_.begin(), pf_data_.end(), data.begin());
+    pf_valid_ = false;
+    prefetch(addr + lb);
+    return 1;
+  }
+
+  const cycles crypt_cost =
+      cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(span_len)) : 0;
+  stats_.crypto_cycles += crypt_cost;
+  if (!write) {
+    ++prefetch_misses_;
+    const cycles mem = lower_->read(addr, data);
+    crypt_line(data, /*encrypt=*/false);
+    if (cfg_.fetch_prediction) prefetch(addr + lb);
+    return mem + crypt_cost;
+  }
 
   // Static code is installed through the cipher; runtime code writes are
   // rare (self-modifying code) but handled: line-aligned encrypt, with the
   // five-step penalty for partial lines.
-  const addr_t base = addr - addr % cfg_.line_bytes;
-  const addr_t end_addr = addr + in.size();
-  const addr_t end = (end_addr % cfg_.line_bytes == 0)
-                         ? end_addr
-                         : end_addr + cfg_.line_bytes - end_addr % cfg_.line_bytes;
-  const std::size_t span_len = static_cast<std::size_t>(end - base);
-
   // Invalidate the prefetch buffer if any written line overlaps it.
-  if (pf_valid_ && base < pf_addr_ + cfg_.line_bytes && pf_addr_ < end)
-    pf_valid_ = false;
+  if (pf_valid_ && base < pf_addr_ + lb && pf_addr_ < end) pf_valid_ = false;
 
   bytes buf(span_len);
   cycles total = 0;
-  const cycles crypt_cost =
-      cfg_.encrypt ? cfg_.core.time_parallel(cfg_.core.blocks_for(span_len)) : 0;
-  if (span_len != in.size()) {
+  if (span_len != code_len) {
     ++stats_.rmw_ops;
     total += lower_->read(base, buf);
     crypt_line(buf, /*encrypt=*/false);
     total += crypt_cost;
   }
-  const std::size_t head = static_cast<std::size_t>(addr - base);
-  for (std::size_t i = 0; i < in.size(); ++i) buf[head + i] = in[i];
+  std::copy_n(data.begin(), code_len, buf.begin() + static_cast<std::ptrdiff_t>(head));
   crypt_line(buf, /*encrypt=*/true);
-  stats_.crypto_cycles += crypt_cost;
   total += crypt_cost + lower_->write(base, buf);
+  if (code_len < data.size())
+    total += lower_->write(cfg_.code_limit, data.subspan(code_len));
   return total;
 }
 

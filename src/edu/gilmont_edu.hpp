@@ -14,7 +14,8 @@ namespace buscrypt::edu {
 
 struct gilmont_edu_config {
   std::size_t line_bytes = 32;
-  addr_t code_limit = 1 << 20;   ///< addresses below this are (static) code
+  addr_t code_limit = 1 << 20;   ///< addresses below this are (static) code;
+                                 ///< a multiple of line_bytes
   bool fetch_prediction = true;  ///< the prefetcher (ablation switch)
   bool encrypt = true;           ///< false = prefetcher only, no cipher —
                                  ///< the baseline the paper's "<2.5%" is
@@ -31,9 +32,6 @@ class gilmont_edu final : public edu {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "Gilmont-3DES"; }
 
-  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
-  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
-
   /// Native batch path. Data-region traffic is clear-form (the surveyed
   /// limitation), so it rides the lower window untouched and gets the full
   /// multi-bank overlap. Line-aligned code fetches keep the fetch
@@ -43,7 +41,7 @@ class gilmont_edu final : public edu {
   /// address, and code writes always detour, so no queued window write can
   /// alias it; mispredicted lines ride the window with their pipelined
   /// 3-DES decipher gated on arrival. Code writes and unaligned or
-  /// boundary-crossing requests detour through the scalar path in order.
+  /// boundary-crossing requests detour in order through serve_detour().
   void submit(std::span<sim::mem_txn> batch) override;
 
   [[nodiscard]] std::size_t preferred_chunk() const noexcept override {
@@ -58,6 +56,9 @@ class gilmont_edu final : public edu {
   /// Decrypt one line-aligned code region in place (ECB over the line; the
   /// original uses 3-DES per 8-byte block).
   void crypt_line(std::span<u8> buf, bool encrypt);
+  /// The blocking datapath of one detoured segment, line by line; a write's
+  /// bytes at or above code_limit stay clear form.
+  [[nodiscard]] cycles serve_detour(bool write, addr_t addr, std::span<u8> data);
   /// Launch the predicted next-line fetch into the prefetch buffer.
   void prefetch(addr_t line_addr);
 

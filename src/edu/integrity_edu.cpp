@@ -160,7 +160,7 @@ cycles integrity_edu::write_line(addr_t line_addr, std::span<const u8> in) {
 
 void integrity_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
-  txn_batcher b(*lower_, pending_txn_cycles_);
+  txn_batcher& b = open_window();
   const std::size_t lb = cfg_.line_bytes;
   const std::size_t nblocks = cfg_.pad_core.blocks_for(lb);
   const cycles pad_t = cfg_.pad_core.time_parallel(nblocks);
@@ -219,7 +219,7 @@ void integrity_edu::submit(std::span<sim::mem_txn> batch) {
         break;
       }
     if (!eligible) {
-      b.detour_via(txn, *this);
+      b.detour_via(txn, scalar_unit(*this));
       continue;
     }
     for (sim::txn_segment& seg : txn.segments) {

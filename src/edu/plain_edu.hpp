@@ -16,28 +16,20 @@ class plain_edu final : public edu {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "plaintext"; }
 
-  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override {
-    ++stats_.reads;
-    return lower_->read(addr, out);
-  }
-
-  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override {
-    ++stats_.writes;
-    return lower_->write(addr, in);
-  }
-
   /// A wire has nothing to serialise: hand the batch straight to the lower
   /// level so multi-bank overlap reaches the unprotected baseline too.
   void submit(std::span<sim::mem_txn> batch) override {
     note_batch(batch.size());
-    for (const sim::mem_txn& txn : batch) {
-      // One count per segment, matching scalar issue of the same ops.
-      if (txn.is_write()) stats_.writes += txn.segments.size();
-      else stats_.reads += txn.segments.size();
-    }
+    // Drain below so the window's cycles sit in this port's accumulator,
+    // where the open-window check sees them; re-base the lower stamps.
     lower_->submit(batch);
+    for (sim::mem_txn& txn : batch) {
+      // One count per segment, matching scalar issue of the same ops.
+      (txn.is_write() ? stats_.writes : stats_.reads) += txn.segments.size();
+      txn.complete_cycle += pending_txn_cycles_;
+    }
+    pending_txn_cycles_ += lower_->drain();
   }
-  [[nodiscard]] cycles drain() override { return lower_->drain(); }
 };
 
 } // namespace buscrypt::edu

@@ -15,85 +15,59 @@ cycles stream_edu::pad_time(addr_t addr, std::size_t len) const noexcept {
 }
 
 void stream_edu::apply_pad(addr_t addr, std::span<u8> buf) {
-  bytes pad_bytes(buf.size());
-  pad_.generate(addr, pad_bytes);
+  pad_buf_.resize(buf.size());
+  pad_.generate(addr, pad_buf_);
   stats_.cipher_blocks += pad_.blocks_covering(addr, buf.size());
-  xor_bytes(buf, pad_bytes);
-}
-
-cycles stream_edu::read(addr_t addr, std::span<u8> out) {
-  ++stats_.reads;
-  const cycles mem = lower_->read(addr, out);
-  apply_pad(addr, out);
-
-  const cycles pad = pad_time(addr, out.size());
-  cycles total;
-  if (cfg_.parallel_keystream) {
-    // Pad generation starts from the address alone, concurrently with the
-    // external fetch; only the excess (if any) is exposed.
-    total = std::max(mem, pad) + cfg_.xor_cycles;
-  } else {
-    total = mem + pad + cfg_.xor_cycles;
-  }
-  stats_.crypto_cycles += total - mem;
-  return total;
+  xor_bytes(buf, pad_buf_);
 }
 
 void stream_edu::submit(std::span<sim::mem_txn> batch) {
   note_batch(batch.size());
 
+  // The buffers only grow, so they stop allocating once they fit a window.
+  if (lower_txns_.size() < batch.size()) lower_txns_.resize(batch.size());
+  const std::span<sim::mem_txn> lower(lower_txns_.data(), batch.size());
+  txn_pad_.assign(batch.size(), 0);
+
   // Stage ciphertext for every write segment up front (the pad needs only
   // the address, so all of it can be generated before any data moves).
-  std::size_t write_segs = 0;
-  for (const sim::mem_txn& txn : batch)
-    if (txn.is_write()) write_segs += txn.segments.size();
-  std::vector<bytes> staged;
-  staged.reserve(write_segs); // no reallocation: spans below stay valid
-
   cycles pad_total = 0;
   cycles n_segments = 0; // xor stage runs once per segment, as in scalar issue
-  std::vector<cycles> txn_pad(batch.size(), 0), txn_xor(batch.size(), 0);
-  std::vector<sim::mem_txn> lower;
-  lower.reserve(batch.size());
+  std::size_t staged = 0;
   for (std::size_t ti = 0; ti < batch.size(); ++ti) {
     sim::mem_txn& txn = batch[ti];
     // One count per segment, matching scalar issue of the same ops.
-    if (txn.is_write()) stats_.writes += txn.segments.size();
-    else stats_.reads += txn.segments.size();
-    sim::mem_txn lt;
+    (txn.is_write() ? stats_.writes : stats_.reads) += txn.segments.size();
+    sim::mem_txn& lt = lower[ti];
     lt.id = txn.id;
     lt.op = txn.op;
     lt.master = txn.master; // attribution rides down to the bus beats
-    lt.segments.reserve(txn.segments.size());
+    lt.segments.clear();
     for (sim::txn_segment& seg : txn.segments) {
       const cycles p = pad_time(seg.addr, seg.data.size());
       pad_total += p;
-      txn_pad[ti] += p;
-      txn_xor[ti] += cfg_.xor_cycles;
+      txn_pad_[ti] += p;
       ++n_segments;
       if (txn.is_write()) {
-        staged.emplace_back(seg.data.begin(), seg.data.end());
-        apply_pad(seg.addr, staged.back());
-        lt.segments.push_back({seg.addr, std::span<u8>(staged.back())});
+        // Growing staged_ moves its buffers, so earlier spans stay valid.
+        if (staged == staged_.size()) staged_.emplace_back();
+        bytes& ct = staged_[staged++];
+        ct.assign(seg.data.begin(), seg.data.end());
+        apply_pad(seg.addr, ct);
+        lt.segments.push_back({seg.addr, std::span<u8>(ct)});
       } else {
         lt.segments.push_back(seg);
       }
     }
-    lower.push_back(std::move(lt));
   }
 
   lower_->submit(lower);
   const cycles mem = lower_->drain();
-
-  // Reads decrypt as their data lands on the internal side of the bus.
-  for (sim::mem_txn& txn : batch)
-    if (!txn.is_write())
-      for (sim::txn_segment& seg : txn.segments) apply_pad(seg.addr, seg.data);
-
   const cycles xr = cfg_.xor_cycles * n_segments;
   const cycles total = cfg_.parallel_keystream ? std::max(mem, pad_total) + xr
                                                : mem + pad_total + xr;
   stats_.crypto_cycles += total - mem;
+  // Reads decrypt as their data lands on the internal side of the bus.
   // Per-txn stamps, consistent with the makespan above: with the parallel
   // keystream a txn completes when both its data and its share of the pad
   // (generated in txn order) are in hand; serial hardware instead chains
@@ -101,34 +75,22 @@ void stream_edu::submit(std::span<sim::mem_txn> batch) {
   // and never exceed `total`.
   cycles pad_prefix = 0, serial_done = 0, mono = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (!batch[i].is_write())
+      for (sim::txn_segment& seg : batch[i].segments) apply_pad(seg.addr, seg.data);
     const cycles arrival = lower[i].complete_cycle;
-    pad_prefix += txn_pad[i];
+    const cycles txn_xor = cfg_.xor_cycles * batch[i].segments.size();
+    pad_prefix += txn_pad_[i];
     cycles fin;
     if (cfg_.parallel_keystream) {
-      fin = std::max(arrival, pad_prefix) + txn_xor[i];
+      fin = std::max(arrival, pad_prefix) + txn_xor;
     } else {
-      serial_done = std::max(serial_done, arrival) + txn_pad[i] + txn_xor[i];
+      serial_done = std::max(serial_done, arrival) + txn_pad_[i] + txn_xor;
       fin = serial_done;
     }
     mono = std::max(mono, fin);
     batch[i].complete_cycle = pending_txn_cycles_ + mono;
   }
   pending_txn_cycles_ += total;
-}
-
-cycles stream_edu::write(addr_t addr, std::span<const u8> in) {
-  ++stats_.writes;
-  bytes ct(in.begin(), in.end());
-  apply_pad(addr, ct);
-
-  const cycles pad = pad_time(addr, in.size());
-  const cycles mem = lower_->write(addr, ct);
-  // A write buffer lets pad generation overlap the bus transfer the same
-  // way reads do.
-  const cycles total = cfg_.parallel_keystream ? std::max(mem, pad) + cfg_.xor_cycles
-                                               : mem + pad + cfg_.xor_cycles;
-  stats_.crypto_cycles += total - mem;
-  return total;
 }
 
 } // namespace buscrypt::edu

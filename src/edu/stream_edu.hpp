@@ -31,15 +31,13 @@ class stream_edu final : public edu {
 
   [[nodiscard]] std::string_view name() const noexcept override { return "Stream-OTP"; }
 
-  [[nodiscard]] cycles read(addr_t addr, std::span<u8> out) override;
-  [[nodiscard]] cycles write(addr_t addr, std::span<const u8> in) override;
-
   /// Native batch path: the pad for every transaction is generated once up
   /// front from the addresses alone, so the whole batch's keystream
   /// pipeline runs concurrently with the whole batch's bus schedule —
   /// max(sum mem, sum pad) instead of the scalar sum of per-access maxes.
   /// This is Fig. 2a's "key stream generation can be parallelised with
   /// external data fetch" applied across requests, not just within one.
+  /// A scalar access is the one-transaction case: max(mem, pad) + xor.
   void submit(std::span<sim::mem_txn> batch) override;
 
   [[nodiscard]] const stream_edu_config& config() const noexcept { return cfg_; }
@@ -50,6 +48,12 @@ class stream_edu final : public edu {
 
   crypto::address_pad pad_;
   stream_edu_config cfg_;
+
+  // Window buffers, grown on demand and kept across submit() calls.
+  std::vector<sim::mem_txn> lower_txns_;
+  std::vector<bytes> staged_; ///< ciphertext of the window's write segments
+  std::vector<cycles> txn_pad_;
+  bytes pad_buf_;
 };
 
 } // namespace buscrypt::edu

@@ -11,9 +11,11 @@
 ///  - submit()/drain(): a batch of mem_txn requests whose *timing* may
 ///    overlap (multi-bank DRAM, keystream parallel to the fetch) while
 ///    functional effects stay in submission order. The default adapter
-///    serialises a batch through the scalar path, so every existing
-///    memory_port is batch-capable; ports with real concurrency
-///    (external_memory, stream_edu, bus_encryption_engine) override it.
+///    serves a batch one scalar call per segment, so a port that only
+///    implements read()/write() is batch-capable; ports with real
+///    concurrency (external_memory, every EDU) override it.
+/// Neither style is the other's reference: several EDUs serve a scalar
+/// call as a one-transaction window of their submit() (edu::read/write).
 ///
 /// The full batch contract (ordering, stamp monotonicity, the scalar
 /// fallback rule) is specified at \ref txn_contract in sim/mem_txn.hpp;
@@ -52,14 +54,13 @@ class memory_port {
   /// Cycles consumed accumulate across submit() calls until drain()
   /// collects them, so several submissions may share one drain window.
   ///
-  /// **Scalar fallback.** This default adapter serialises the batch
+  /// **Default adapter.** This implementation serialises the batch
   /// through read()/write() — one scalar call per segment, in order —
-  /// so the batch makespan equals the sum of the scalar latencies and
-  /// every derived port is batch-capable without overriding anything.
+  /// so the batch makespan equals the sum of the scalar latencies.
   /// Overriding ports may reorder *timing* only; any transaction they
-  /// cannot schedule natively must detour through the scalar path at a
-  /// point that preserves submission order (pending native work flushed
-  /// first), which is what bus_encryption_engine::submit does.
+  /// cannot schedule natively is served by a blocking datapath at a point
+  /// that preserves submission order (pending native work flushed first),
+  /// which is what edu::txn_batcher::detour_via does.
   virtual void submit(std::span<mem_txn> batch) {
     cycles t = pending_txn_cycles_;
     for (mem_txn& txn : batch) {

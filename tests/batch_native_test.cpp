@@ -1,8 +1,11 @@
 // Batch-native EDU datapaths (the Tab. 7 closing of the engine matrix):
 // per-engine scalar-vs-batched equivalence under bank conflicts and
 // unaligned detours, single-transaction degeneracy for the serial-decipher
-// engines, per-engine state regressions (AEGIS nonce snapshots, DMA page
-// recycling, Gilmont prefetch, GI verified-LRU, integrity tag forwarding),
+// engines, scalar issue == windows of one for the engines whose scalar
+// path is that window, write sources never mutated by any port,
+// per-engine state regressions (AEGIS nonce snapshots, DMA page
+// recycling, Gilmont prefetch and code-limit straddles, GI verified-LRU,
+// integrity tag forwarding),
 // throughput-gain assertions for the newly native engines, and the crypto
 // hot-loop layer (bulk keystream, per-instance key expansion).
 
@@ -232,6 +235,136 @@ INSTANTIATE_TEST_SUITE_P(
       return sanitized(info.param);
     });
 
+// The engines whose scalar read()/write() *is* a one-transaction window
+// (edu::read/write submit one txn and drain it). For them a scalar op and
+// a one-txn batch must agree on every simulated count; the rest keep their
+// own scalar datapaths and agree on bytes only: the block family hides a
+// lone write's encipher behind its bus transfer in a window (max(mem, enc)
+// vs the scalar enc + mem), and SecureDMA, Compress+OTP and the keyslot
+// engine shape single-transaction windows differently on purpose.
+bool folded(engine_kind kind) {
+  switch (kind) {
+    case engine_kind::plaintext:
+    case engine_kind::stream_otp:
+    case engine_kind::stream_serial:
+    case engine_kind::cacheside_otp:
+    case engine_kind::gilmont_3des:
+    case engine_kind::gi_3des_cbc: return true;
+    default: return false;
+  }
+}
+
+void expect_same_counts(const edu::edu_stats& s, const edu::edu_stats& b,
+                        const std::string& where) {
+  // batches/batched_txns count submit() calls, which only the window makes.
+  EXPECT_EQ(s.reads, b.reads) << where;
+  EXPECT_EQ(s.writes, b.writes) << where;
+  EXPECT_EQ(s.cipher_blocks, b.cipher_blocks) << where;
+  EXPECT_EQ(s.crypto_cycles, b.crypto_cycles) << where;
+  EXPECT_EQ(s.rmw_ops, b.rmw_ops) << where;
+}
+
+class SingleTxnWindow : public ::testing::TestWithParam<engine_kind> {};
+
+TEST_P(SingleTxnWindow, EveryOpShapeMatchesScalarIssue) {
+  const engine_kind kind = GetParam();
+  const edu::soc_config cfg = native_cfg(8);
+  const addr_t data = 1 << 20; // Gilmont's code limit: data - 4 straddles it
+  edu::secure_soc scalar_soc(kind, cfg), batched_soc(kind, cfg);
+  for (edu::secure_soc* soc : {&scalar_soc, &batched_soc}) {
+    soc->load_image(0, patterned_image(16 * 1024));
+    soc->load_image(data - 4096, bytes(12 * 1024, 0));
+  }
+
+  struct op {
+    addr_t addr;
+    std::size_t len;
+    bool write;
+  };
+  // Code-region ops are reads only (Compress+OTP's code is read-only).
+  const op ops[] = {
+      {data + 0, 32, true},     {data + 0, 32, false},   // aligned line
+      {data + 4, 8, true},      {data + 2, 12, false},   // sub-line, odd offset
+      {data + 70, 3, false},                             // tiny unaligned
+      {data + 48, 32, true},    {data + 48, 32, false},  // two lines
+      {data + 128, 64, true},   {data + 128, 64, false}, // aligned multi-line
+      {data - 4, 8, true},      {data - 4, 8, false},    // straddles 1 MiB
+      {data + 4094, 4, true},                            // straddles a row
+      {96, 32, false},          {100, 20, false},        // code: aligned, odd
+      {64, 64, false},          {200, 40, false},        // code: two lines
+      {4080, 32, false},                                 // code: page straddle
+  };
+
+  bytes s_reads, b_reads;
+  for (std::size_t i = 0; i < std::size(ops); ++i) {
+    const op& o = ops[i];
+    bytes s_buf(o.len), b_buf(o.len);
+    if (o.write) {
+      fill_store_pattern(o.addr, s_buf);
+      fill_store_pattern(o.addr, b_buf);
+    }
+    const cycles scalar = o.write ? scalar_soc.engine().write(o.addr, s_buf)
+                                  : scalar_soc.engine().read(o.addr, s_buf);
+    std::vector<mem_txn> one;
+    one.push_back(o.write ? mem_txn::write_of(i, o.addr, b_buf)
+                          : mem_txn::read_of(i, o.addr, b_buf));
+    batched_soc.engine().submit(one);
+    const cycles window = batched_soc.engine().drain();
+    if (!o.write) {
+      s_reads.insert(s_reads.end(), s_buf.begin(), s_buf.end());
+      b_reads.insert(b_reads.end(), b_buf.begin(), b_buf.end());
+    }
+    if (!folded(kind)) continue;
+    const std::string where = std::string(edu::engine_name(kind)) + " op " +
+                              std::to_string(i);
+    EXPECT_EQ(window, scalar) << where;
+    expect_same_counts(scalar_soc.engine().stats(), batched_soc.engine().stats(), where);
+  }
+  EXPECT_EQ(b_reads, s_reads) << edu::engine_name(kind);
+  scalar_soc.flush();
+  batched_soc.flush();
+  const auto ds = scalar_soc.memory().raw();
+  const auto db = batched_soc.memory().raw();
+  EXPECT_TRUE(std::equal(ds.begin(), ds.end(), db.begin()))
+      << "one-txn windows left different DRAM for " << edu::engine_name(kind);
+}
+
+TEST_P(SingleTxnWindow, MixedStreamMatchesUnitBatches) {
+  // tab7's traffic shape (branchy fetch plus a streaming store component),
+  // 26k line ops over 8 banks: scalar issue vs batches of one.
+  const engine_kind kind = GetParam();
+  const edu::soc_config cfg = native_cfg(8);
+  workload w = make_jumpy_code(20'000, 128 * 1024, 0.15, 0x7AB7);
+  const workload s = make_streaming(6'000, 128 * 1024, 4, 0x7AB8);
+  w.accesses.insert(w.accesses.end(), s.accesses.begin(), s.accesses.end());
+  const auto ops = to_port_ops(w, cfg.l1.line_size);
+
+  edu::secure_soc scalar_soc(kind, cfg), batched_soc(kind, cfg);
+  for (edu::secure_soc* soc : {&scalar_soc, &batched_soc})
+    soc->load_image(0, patterned_image(128 * 1024));
+  const throughput_stats st = issue_scalar(scalar_soc.engine(), ops, cfg.l1.line_size);
+  const throughput_stats bt =
+      issue_batched(batched_soc.engine(), ops, cfg.l1.line_size, 1);
+  EXPECT_EQ(st.ops, bt.ops);
+  if (folded(kind)) {
+    const std::string where(edu::engine_name(kind));
+    EXPECT_EQ(bt.total_cycles, st.total_cycles) << where;
+    expect_same_counts(scalar_soc.engine().stats(), batched_soc.engine().stats(), where);
+  }
+  scalar_soc.flush();
+  batched_soc.flush();
+  const auto ds = scalar_soc.memory().raw();
+  const auto db = batched_soc.memory().raw();
+  EXPECT_TRUE(std::equal(ds.begin(), ds.end(), db.begin()))
+      << "unit batches left different DRAM for " << edu::engine_name(kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, SingleTxnWindow,
+                         ::testing::ValuesIn(edu::all_engines()),
+                         [](const ::testing::TestParamInfo<engine_kind>& info) {
+                           return sanitized(info.param);
+                         });
+
 // --- newly native engines actually gain --------------------------------------
 
 double bpc_of(engine_kind kind, std::size_t batch_txns) {
@@ -384,6 +517,89 @@ TEST(GilmontBatch, PrefetcherStaysInTheLoopAcrossAWindow) {
   }
   EXPECT_LE(batched, scalar) << "batching must never cost the predictor its win";
 }
+
+TEST(GilmontBatch, WriteStraddlingCodeLimitEnciphersOnlyTheCodeBytes) {
+  // 8 bytes at code_limit - 4: the low half is code, the high half is data
+  // (clear form). Scalar and one-window issue must both round-trip and
+  // leave the data bytes beyond the write untouched.
+  const edu::soc_config cfg = native_cfg(4);
+  const addr_t limit = edu::gilmont_edu_config{}.code_limit;
+  bytes src(8);
+  fill_store_pattern(limit - 4, src);
+
+  for (const bool batched : {false, true}) {
+    edu::secure_soc soc(engine_kind::gilmont_3des, cfg);
+    soc.load_image(limit - 64, bytes(128, 0));
+    bytes back(8);
+    if (batched) {
+      bytes lane = src;
+      std::vector<mem_txn> win;
+      win.push_back(mem_txn::write_of(0, limit - 4, lane));
+      win.push_back(mem_txn::read_of(1, limit - 4, back));
+      soc.engine().submit(win);
+      (void)soc.engine().drain();
+    } else {
+      (void)soc.engine().write(limit - 4, src);
+      (void)soc.engine().read(limit - 4, back);
+    }
+    const char* how = batched ? "batched" : "scalar";
+    EXPECT_EQ(back, src) << how;
+    const auto raw = soc.memory().raw();
+    EXPECT_TRUE(std::equal(src.begin() + 4, src.end(), raw.begin() + limit))
+        << how << ": data-region bytes must land in clear form";
+    EXPECT_TRUE(std::all_of(raw.begin() + limit + 4, raw.begin() + limit + 32,
+                            [](u8 b) { return b == 0; }))
+        << how << ": untouched data bytes beyond the write changed";
+  }
+}
+
+class WriteSourceUntouched : public ::testing::TestWithParam<engine_kind> {};
+
+TEST_P(WriteSourceUntouched, ScalarAndBatchedWritesLeaveTheSourceIntact) {
+  // A scalar write's const source rides a one-txn window's mutable segment
+  // on the folded engines; this pins the contract that makes that safe:
+  // no port ever writes into a write's source bytes.
+  const engine_kind kind = GetParam();
+  const edu::soc_config cfg = native_cfg(4);
+  const addr_t data = 1 << 20;
+  struct op {
+    addr_t addr;
+    std::size_t len;
+  };
+  const op ops[] = {{data, 32},      {data + 4, 8},  {data + 48, 32},
+                    {data + 128, 64}, {data - 4, 8}, {data + 4094, 4}};
+
+  edu::secure_soc scalar_soc(kind, cfg), batched_soc(kind, cfg);
+  std::vector<bytes> lanes;
+  std::vector<mem_txn> batch;
+  lanes.reserve(std::size(ops));
+  for (edu::secure_soc* soc : {&scalar_soc, &batched_soc}) {
+    soc->load_image(0, patterned_image(16 * 1024));
+    soc->load_image(data - 4096, bytes(12 * 1024, 0));
+  }
+  for (std::size_t i = 0; i < std::size(ops); ++i) {
+    bytes src(ops[i].len);
+    fill_store_pattern(ops[i].addr, src);
+    const bytes before = src;
+    (void)scalar_soc.engine().write(ops[i].addr, src);
+    EXPECT_EQ(src, before) << "scalar write " << i;
+    lanes.push_back(before);
+    batch.push_back(mem_txn::write_of(i, ops[i].addr, lanes.back()));
+  }
+  batched_soc.engine().submit(batch);
+  (void)batched_soc.engine().drain();
+  for (std::size_t i = 0; i < std::size(ops); ++i) {
+    bytes want(ops[i].len);
+    fill_store_pattern(ops[i].addr, want);
+    EXPECT_EQ(lanes[i], want) << "batched write " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllEngines, WriteSourceUntouched,
+                         ::testing::ValuesIn(edu::all_engines()),
+                         [](const ::testing::TestParamInfo<engine_kind>& info) {
+                           return sanitized(info.param);
+                         });
 
 TEST(GiBatch, BatchedReadsKeepVerifiedWindowAndTags) {
   const edu::soc_config cfg = native_cfg(4);
