@@ -37,6 +37,63 @@ inline u64 seed_arg(int& argc, char** argv, u64 def = 0) {
   return seed;
 }
 
+/// The two options of the fleet-driven benches (tab10–tab13) besides
+/// `--seed`: `--threads N` sizes the fleet pool (0 = hardware concurrency)
+/// and `--json FILE` names the output. Anything else prints the usage and
+/// exits 2.
+struct fleet_args {
+  unsigned threads = 0;
+  const char* json_path = nullptr;
+};
+
+inline fleet_args parse_fleet_args(int argc, char** argv, const char* json_path) {
+  fleet_args a;
+  a.json_path = json_path;
+  for (int i = 1; i < argc; ++i) {
+    if (i + 1 < argc && std::strcmp(argv[i], "--threads") == 0) {
+      a.threads = static_cast<unsigned>(std::atoi(argv[++i]));
+    } else if (i + 1 < argc && std::strcmp(argv[i], "--json") == 0) {
+      a.json_path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--seed N] [--threads N] [--json FILE]\n", argv[0]);
+      std::exit(2);
+    }
+  }
+  return a;
+}
+
+/// Cells of a pooled fleet run that differ from the serial reference run
+/// of the same config, each named on stderr. Any is a shared-state bug.
+template <class FleetResult>
+std::size_t fleet_mismatches(const FleetResult& serial, const FleetResult& pooled) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < serial.cells.size(); ++i)
+    if (!pooled.cells[i].sim_equal(serial.cells[i])) {
+      ++n;
+      std::fprintf(stderr, "MISMATCH %s: fleet run diverged from serial run\n",
+                   serial.cells[i].label.c_str());
+    }
+  return n;
+}
+
+/// The structural claims a bench makes about its own results (a speedup
+/// floor, a detection matrix, an accounting identity). A claim that does
+/// not hold is printed to stderr; main writes its JSON anyway and returns
+/// status(), so a broken claim exits 1 with the evidence on disk.
+class claims {
+ public:
+  void check(bool holds, const std::string& claim) {
+    if (holds) return;
+    ok_ = false;
+    std::fprintf(stderr, "CLAIM FAILED: %s\n", claim.c_str());
+  }
+
+  [[nodiscard]] int status() const { return ok_ ? 0 : 1; }
+
+ private:
+  bool ok_ = true;
+};
+
 /// Synthetic firmware image: word-aligned with the distribution real
 /// instruction streams show — a heavily skewed opcode (high) half and
 /// small, repetitive immediates (low half). The corpus every experiment
@@ -89,8 +146,8 @@ inline void banner(const std::string& title, const std::string& paper_anchor) {
 /// Host wall-clock timer for the simulator-speed fields every BENCH_*.json
 /// carries alongside its simulated bytes/cycle: "host_ms" (wall time) and
 /// "host_ops_per_sec" (simulated port operations retired per host second).
-/// Simulated results are deterministic; these two fields are the only
-/// machine-dependent ones, and CI gates ignore them.
+/// Simulated results are deterministic; every machine-dependent field is
+/// named host_*, and same_sim.py ignores exactly those.
 class host_timer {
  public:
   host_timer() : t0_(std::chrono::steady_clock::now()) {}

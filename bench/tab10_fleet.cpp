@@ -12,91 +12,45 @@
 // before reporting the host-side speedup. A mismatch is a shared-state
 // bug and exits nonzero.
 //
-// Emits BENCH_fleet.json (machine-readable, consumed by CI) next to the
-// console table.
+// Emits BENCH_fleet.json next to the console table. Every machine-dependent
+// field (thread count, steals, wall times, speedup) is named host_*.
 
 #include "bench_util.hpp"
 #include "fleet/fleet.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace {
 
-struct cli {
-  unsigned threads = 0;        // 0 = hardware_concurrency
-  std::size_t accesses = 6000; // per-cell workload length
-  std::size_t seeds = 1;       // seed-sweep replicas of the whole matrix
-  bool auth_cells = true;      // include the keyslot auth trio
-  const char* json_path = "BENCH_fleet.json";
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--accesses"))
-      c.accesses = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--seeds"))
-      c.seeds = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else if (std::strcmp(argv[i], "--no-auth") == 0)
-      c.auth_cells = false;
-    else {
-      std::fprintf(stderr,
-                   "usage: tab10_fleet [--seed N] [--threads N] [--accesses N] [--seeds K]"
-                   " [--no-auth] [--json FILE]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
+constexpr std::size_t kAccesses = 6000; // per-cell workload length
 
 } // namespace
 
 int main(int argc, char** argv) {
   using namespace buscrypt;
   const u64 base_seed = bench::seed_arg(argc, argv, 0x5EC5EEDULL);
-  const cli opt = parse(argc, argv);
+  const bench::fleet_args opt = bench::parse_fleet_args(argc, argv, "BENCH_fleet.json");
   bench::banner("Tab. 10 — many-SoC fleet: parallel scenario matrix",
                 "horizontal scale over the whole survey (tab1/tab7 matrices)");
 
   // The cell matrix: every engine (auth none), plus the keyslot engine
-  // under each authentication scheme, replicated across --seeds seeds.
+  // under each authentication scheme.
   const u64 kSeed = base_seed;
-  std::vector<fleet::fleet_cell> base = fleet::engine_matrix(opt.accesses, kSeed);
-  if (opt.auth_cells) {
-    for (const engine::auth_mode m : {engine::auth_mode::mac, engine::auth_mode::area,
-                                      engine::auth_mode::hash_tree}) {
-      fleet::fleet_cell c;
-      c.kind = edu::engine_kind::inline_keyslot;
-      c.accesses = opt.accesses;
-      c.seed = kSeed;
-      c.auth = m;
-      if (m == engine::auth_mode::area) c.backend = "aes-ecb"; // AREA rejects CTR
-      base.push_back(std::move(c));
-    }
-  }
   fleet::fleet_config cfg;
-  for (std::size_t s = 0; s < opt.seeds; ++s)
-    for (fleet::fleet_cell c : base) {
-      c.seed = kSeed + s;
-      cfg.cells.push_back(std::move(c));
-    }
+  cfg.cells = fleet::engine_matrix(kAccesses, kSeed);
+  for (const engine::auth_mode m :
+       {engine::auth_mode::mac, engine::auth_mode::area, engine::auth_mode::hash_tree}) {
+    fleet::fleet_cell c;
+    c.kind = edu::engine_kind::inline_keyslot;
+    c.accesses = kAccesses;
+    c.seed = kSeed;
+    c.auth = m;
+    if (m == engine::auth_mode::area) c.backend = "aes-ecb"; // AREA rejects CTR
+    cfg.cells.push_back(std::move(c));
+  }
 
   // Serial reference: same cells, one thread, config order. Its per-cell
   // host_ms is the honest speedup denominator (per cell, not whole-sweep).
@@ -112,14 +66,8 @@ int main(int argc, char** argv) {
   const fleet::fleet_result fleet_run = fleet::run_fleet(cfg);
 
   // Determinism proof: every cell bit-equal between the two runs.
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < cfg.cells.size(); ++i)
-    if (!fleet_run.cells[i].sim_equal(serial.cells[i])) {
-      ++mismatches;
-      std::fprintf(stderr, "MISMATCH %s: fleet run diverged from serial run\n",
-                   serial.cells[i].label.c_str());
-    }
-  if (mismatches != 0) {
+  if (const std::size_t mismatches = bench::fleet_mismatches(serial, fleet_run);
+      mismatches != 0) {
     std::fprintf(stderr, "%zu/%zu cells diverged — shared-state bug\n", mismatches,
                  cfg.cells.size());
     return 1;
@@ -153,24 +101,23 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"tab10_fleet\",\n  \"cells\": %zu,\n"
-               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
-               "  \"steals\": %llu,\n  \"accesses\": %zu,\n  \"seeds\": %zu,\n"
+               "  \"host_threads\": %u,\n  \"host_hardware_concurrency\": %u,\n"
+               "  \"host_steals\": %llu,\n  \"accesses\": %zu,\n  \"seeds\": 1,\n"
                "  \"equivalent\": true,\n"
-               "  \"serial_host_ms\": %.1f,\n  \"fleet_host_ms\": %.1f,\n"
-               "  \"speedup\": %.2f,\n  \"host_txns_per_sec\": %.0f,\n"
+               "  \"host_serial_ms\": %.1f,\n  \"host_fleet_ms\": %.1f,\n"
+               "  \"host_speedup\": %.2f,\n  \"host_txns_per_sec\": %.0f,\n"
                "  \"matrix\": [\n",
                cfg.cells.size(), fleet_run.pool.threads,
                std::thread::hardware_concurrency(),
-               static_cast<unsigned long long>(fleet_run.pool.steals), opt.accesses,
-               opt.seeds, serial.host_ms, fleet_run.host_ms, speedup,
-               fleet_run.host_txns_per_sec());
+               static_cast<unsigned long long>(fleet_run.pool.steals), kAccesses,
+               serial.host_ms, fleet_run.host_ms, speedup, fleet_run.host_txns_per_sec());
   for (std::size_t i = 0; i < cfg.cells.size(); ++i) {
     const fleet::cell_result& c = serial.cells[i];
     std::fprintf(json,
                  "    {\"cell\": \"%s\", \"auth\": \"%s\", \"ops\": %llu, "
                  "\"bytes\": %llu, \"cycles\": %llu, \"bytes_per_cycle\": %.6f, "
                  "\"integrity_faults\": %llu, \"dram_fnv\": \"%016llx\", "
-                 "\"serial_host_ms\": %.1f, \"fleet_host_ms\": %.1f}%s\n",
+                 "\"host_serial_ms\": %.1f, \"host_fleet_ms\": %.1f}%s\n",
                  c.label.c_str(),
                  std::string(engine::auth_mode_name(cfg.cells[i].auth)).c_str(),
                  static_cast<unsigned long long>(c.ops),

@@ -16,74 +16,30 @@
 // bit-identical DRAM images (policies move telemetry, never bytes). A
 // failure of either exits nonzero.
 //
-// Emits BENCH_keyslot.json (machine-readable, consumed by CI) next to
-// the console table.
+// Emits BENCH_keyslot.json next to the console table and exits 1 if a
+// warm-hit, prefetch or fallback claim does not hold. Machine-dependent
+// fields are named host_*.
 
 #include "bench_util.hpp"
 #include "engine/churn.hpp"
 #include "fleet/fleet.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
 
 namespace {
 
-struct cli {
-  unsigned threads = 0;           // 0 = hardware_concurrency
-  std::size_t contexts = 100'000; // Zipf rank population per cell
-  std::size_t ops = 150'000;      // storm length per cell
-  const char* json_path = "BENCH_keyslot.json";
-  // Storm-grid policy filter, parsed by slot_policy_name spelling; the
-  // cross-policy equivalence proof always runs all four.
-  bool one_policy = false;
-  buscrypt::engine::slot_policy policy = buscrypt::engine::slot_policy::lru;
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--contexts"))
-      c.contexts = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--ops"))
-      c.ops = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else if (const char* v = arg("--policy")) {
-      if (!buscrypt::engine::parse_slot_policy(v, c.policy)) {
-        std::fprintf(stderr, "unknown --policy '%s'\n", v);
-        std::exit(2);
-      }
-      c.one_policy = true;
-    } else {
-      std::fprintf(stderr,
-                   "usage: tab11_keyslot_churn [--seed N] [--threads N] [--contexts N]"
-                   " [--ops N] [--json FILE] [--policy NAME]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
+constexpr std::size_t kContexts = 100'000; // Zipf rank population per cell
+constexpr std::size_t kOps = 150'000;      // storm length per cell
 
 } // namespace
 
 int main(int argc, char** argv) {
   using namespace buscrypt;
   const u64 base_seed = bench::seed_arg(argc, argv, 0x5EC5EEDULL);
-  const cli opt = parse(argc, argv);
+  const bench::fleet_args opt = bench::parse_fleet_args(argc, argv, "BENCH_keyslot.json");
   bench::banner("Tab. 11 — keyslot churn: Zipf context storms vs eviction policy",
                 "pool behaviour when contexts outnumber slots 1000:1 (blk-crypto)");
 
@@ -93,13 +49,12 @@ int main(int argc, char** argv) {
   // means the small pool saturates (misses pin out and fall back) while
   // the large pool isolates pure eviction behaviour.
   fleet::churn_fleet_config cfg;
-  for (const engine::slot_policy policy : engine::all_slot_policies) {
-    if (opt.one_policy && policy != opt.policy) continue;
+  for (const engine::slot_policy policy : engine::all_slot_policies)
     for (const unsigned pool : {4u, 16u})
       for (const double skew : {0.8, 1.2}) {
         engine::churn_config c;
-        c.contexts = opt.contexts;
-        c.ops = opt.ops;
+        c.contexts = kContexts;
+        c.ops = kOps;
         c.zipf_s = skew;
         c.slots = pool;
         c.in_flight = 4;
@@ -107,7 +62,6 @@ int main(int argc, char** argv) {
         c.seed = kSeed;
         cfg.cells.push_back(std::move(c));
       }
-  }
 
   // Serial reference, then the shuffled work-stealing fleet: every cell
   // must be bit-identical between the two (the tab10 determinism proof,
@@ -121,14 +75,8 @@ int main(int argc, char** argv) {
   cfg.shuffle_seed = kSeed;
   const fleet::churn_fleet_result fleet_run = fleet::run_churn_fleet(cfg);
 
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < cfg.cells.size(); ++i)
-    if (!fleet_run.cells[i].sim_equal(serial.cells[i])) {
-      ++mismatches;
-      std::fprintf(stderr, "MISMATCH %s: fleet run diverged from serial run\n",
-                   serial.cells[i].label.c_str());
-    }
-  if (mismatches != 0) {
+  if (const std::size_t mismatches = bench::fleet_mismatches(serial, fleet_run);
+      mismatches != 0) {
     std::fprintf(stderr, "%zu/%zu cells diverged — shared-state bug\n", mismatches,
                  cfg.cells.size());
     return 1;
@@ -197,14 +145,14 @@ int main(int argc, char** argv) {
   }
   std::fprintf(json,
                "{\n  \"bench\": \"tab11_keyslot_churn\",\n  \"cells\": %zu,\n"
-               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
+               "  \"host_threads\": %u,\n  \"host_hardware_concurrency\": %u,\n"
                "  \"contexts\": %zu,\n  \"ops\": %zu,\n  \"in_flight\": 4,\n"
                "  \"equivalent\": true,\n  \"policies_equivalent\": true,\n"
                "  \"policy_faults\": %llu,\n"
-               "  \"serial_host_ms\": %.1f,\n  \"fleet_host_ms\": %.1f,\n"
-               "  \"speedup\": %.2f,\n  \"matrix\": [\n",
+               "  \"host_serial_ms\": %.1f,\n  \"host_fleet_ms\": %.1f,\n"
+               "  \"host_speedup\": %.2f,\n  \"matrix\": [\n",
                cfg.cells.size(), fleet_run.pool.threads,
-               std::thread::hardware_concurrency(), opt.contexts, opt.ops,
+               std::thread::hardware_concurrency(), kContexts, kOps,
                static_cast<unsigned long long>(fault_total), serial.host_ms,
                fleet_run.host_ms, speedup);
   for (std::size_t i = 0; i < cfg.cells.size(); ++i) {
@@ -236,5 +184,29 @@ int main(int argc, char** argv) {
   std::fprintf(json, "  ]\n}\n");
   std::fclose(json);
   std::printf("wrote %s\n", opt.json_path);
-  return 0;
+
+  // Skewed traffic keeps the pool warm, the usage-aware policy beats LRU
+  // on the hot-head storm, the prefetcher prefetches, and only the
+  // saturated pool falls back.
+  const auto cell = [&](const char* label) {
+    for (const engine::churn_result& c : serial.cells)
+      if (c.label == label) return c;
+    return engine::churn_result{};
+  };
+  const engine::churn_result lru = cell("lru/p16/z1.20/c100000");
+  const engine::churn_result refcount = cell("refcount/p16/z1.20/c100000");
+  bench::claims claims;
+  claims.check(lru.warm_hit_rate() >= 0.35, "LRU warm-hit >= 0.35 on p16 z1.20");
+  claims.check(refcount.warm_hit_rate() >= lru.warm_hit_rate(),
+               "refcount warm-hit >= LRU on p16 z1.20");
+  claims.check(cell("prefetch/p16/z1.20/c100000").slots.prefetch_programs > 0,
+               "the prefetch policy prefetches on p16 z1.20");
+  for (std::size_t i = 0; i < cfg.cells.size(); ++i) {
+    const engine::churn_result& c = serial.cells[i];
+    if (cfg.cells[i].slots == 4)
+      claims.check(c.fallbacks > 0, c.label + ": the saturated pool falls back");
+    else
+      claims.check(c.fallbacks == 0, c.label + ": the roomy pool never falls back");
+  }
+  return claims.status();
 }

@@ -1,13 +1,12 @@
 // tab12_interconnect — the topology-first interconnect at scale:
 // hierarchical arbitration, QoS classes and programmable bus firewalls.
 //
-// Three sections; containment and reconfig are claims the exit code
-// enforces:
+// Three sections; each is a claim the exit code enforces:
 //
 //  1. scaling — the fleet noc cells: {4..64} masters x {flat, 4-cluster}
 //     x {QoS off, on} on Stream-OTP and the keyslot engine (the keyslot
 //     cells carry per-master firewall whitelists; in-slice traffic takes
-//     zero denials, so the tables are free).
+//     zero denials, so the tables are free). The sweep reaches 32 masters.
 //
 //  2. containment — the untrusted-accelerator scenario: a master whose
 //     workload strays outside its whitelist on a heterogeneous SoC (CPU
@@ -21,10 +20,10 @@
 //
 //  3. reconfig — rule tables reprogrammed under live traffic: staged by
 //     a grant observer, committed at window boundaries, stage-to-commit
-//     latency measured in simulated cycles.
+//     latency measured in simulated cycles. At least one reprogram commits.
 //
-// Usage: tab12_interconnect [--threads N] [--json FILE]
-// Emits BENCH_interconnect.json (machine-readable, consumed by CI).
+// Usage: tab12_interconnect [--seed N] [--threads N] [--json FILE]
+// Emits BENCH_interconnect.json; machine-dependent fields are named host_*.
 
 #include "multimaster_cast.hpp"
 
@@ -33,9 +32,9 @@
 #include "fleet/fleet.hpp"
 #include "sim/interconnect.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,27 +45,6 @@ namespace {
 buscrypt::u64 g_seed = 0;
 
 using namespace buscrypt;
-
-struct cli {
-  unsigned threads = 0; ///< scaling-fleet pool; 0 = hardware_concurrency
-  const char* json_path = "BENCH_interconnect.json";
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      c.threads = static_cast<unsigned>(std::atoi(argv[++i]));
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-      c.json_path = argv[++i];
-    } else {
-      std::fprintf(stderr,
-                   "usage: tab12_interconnect [--seed N] [--threads N] [--json FILE]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
 
 struct containment_result {
   bool ok = true;
@@ -281,7 +259,8 @@ containment_result run_containment() {
 
 int main(int argc, char** argv) {
   g_seed = bench::seed_arg(argc, argv);
-  const cli opt = parse(argc, argv);
+  const bench::fleet_args opt =
+      bench::parse_fleet_args(argc, argv, "BENCH_interconnect.json");
   bench::banner("Tab. 12 — topology-first interconnect: hierarchy, QoS, firewalls",
                 "clustered arbitration at scale; Cotret-style rule tables on the bus");
 
@@ -345,7 +324,7 @@ int main(int argc, char** argv) {
   const double total_ms = wall.ms();
   std::fprintf(json,
                "{\n  \"bench\": \"tab12_interconnect\",\n"
-               "  \"threads\": %u,\n  \"hardware_concurrency\": %u,\n"
+               "  \"host_threads\": %u,\n  \"host_hardware_concurrency\": %u,\n"
                "  \"host_ms\": %.1f,\n  \"host_ops_per_sec\": %.0f,\n"
                "  \"scaling\": [\n",
                scaling.pool.threads, std::thread::hardware_concurrency(), total_ms,
@@ -390,9 +369,12 @@ int main(int argc, char** argv) {
   std::fclose(json);
   std::printf("wrote %s\n", opt.json_path);
 
-  if (!cont.ok) {
-    std::fprintf(stderr, "tab12_interconnect: FAILED\n");
-    return 1;
-  }
-  return 0;
+  bench::claims claims;
+  claims.check(cont.ok, "the untrusted accelerator is contained");
+  std::size_t max_masters = 0;
+  for (const fleet::fleet_cell& cell : scfg.cells)
+    max_masters = std::max(max_masters, cell.noc_masters);
+  claims.check(max_masters >= 32, "the scaling sweep reaches 32 masters");
+  claims.check(cont.reprograms > 0, "a live firewall reprogram is exercised");
+  return claims.status();
 }

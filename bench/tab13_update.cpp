@@ -17,9 +17,10 @@
 //     pool, serial vs shuffled — randomized interruption placement at
 //     scale, with the tab10 cell-by-cell bit-equivalence proof.
 //
-// Any torn image, accepted downgrade, missed replay or fleet divergence
-// exits nonzero. Emits BENCH_update.json (machine-readable, consumed by
-// CI; --seed 0 reproduces the committed baseline).
+// Any torn image, accepted downgrade, missed replay, fleet divergence or
+// cell that is not exactly one of old-intact and new-committed exits
+// nonzero. Emits BENCH_update.json (--seed 0 reproduces the committed
+// baseline).
 
 #include "attack/tamper.hpp"
 #include "bench_util.hpp"
@@ -48,38 +49,7 @@ constexpr engine::auth_mode kSchemes[] = {
     engine::auth_mode::none, engine::auth_mode::mac, engine::auth_mode::area,
     engine::auth_mode::hash_tree};
 
-struct cli {
-  std::size_t runs = 24; ///< fleet interruptions per (fault x auth) pair
-  unsigned threads = 0;  ///< fleet pool; 0 = hardware_concurrency
-  const char* json_path = "BENCH_update.json";
-};
-
-cli parse(int argc, char** argv) {
-  cli c;
-  for (int i = 1; i < argc; ++i) {
-    const auto arg = [&](const char* name) -> const char* {
-      if (std::strcmp(argv[i], name) != 0) return nullptr;
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", name);
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (const char* v = arg("--runs"))
-      c.runs = static_cast<std::size_t>(std::atoll(v));
-    else if (const char* v = arg("--threads"))
-      c.threads = static_cast<unsigned>(std::atoi(v));
-    else if (const char* v = arg("--json"))
-      c.json_path = v;
-    else {
-      std::fprintf(stderr,
-                   "usage: tab13_update [--seed N] [--runs N] [--threads N]"
-                   " [--json FILE]\n");
-      std::exit(2);
-    }
-  }
-  return c;
-}
+constexpr std::size_t kRuns = 24; ///< fleet interruptions per (fault x auth) pair
 
 struct matrix_cell {
   const char* backend = "";
@@ -137,7 +107,7 @@ std::vector<matrix_cell> plan_matrix(u64 seed) {
 
 int main(int argc, char** argv) {
   const u64 seed = bench::seed_arg(argc, argv);
-  const cli opt = parse(argc, argv);
+  const bench::fleet_args opt = bench::parse_fleet_args(argc, argv, "BENCH_update.json");
   bench::banner("Tab. 13 — crash-safe update lifecycle: recovery matrix",
                 "A/B slots + on-chip journal under beat-level fault injection");
 
@@ -209,7 +179,7 @@ int main(int argc, char** argv) {
   bench::banner("Fleet lifetime cells: randomized interruptions, serial vs pool",
                 "tab10 determinism proof over whole-device update episodes");
   fleet::fleet_config fcfg;
-  fcfg.cells = fleet::lifetime_matrix(opt.runs, seed ^ 0x13F1EE7ULL);
+  fcfg.cells = fleet::lifetime_matrix(kRuns, seed ^ 0x13F1EE7ULL);
   fcfg.threads = 1;
   fcfg.shuffle = false;
   const fleet::fleet_result serial = fleet::run_fleet(fcfg);
@@ -219,18 +189,13 @@ int main(int argc, char** argv) {
   const fleet::fleet_result pooled = fleet::run_fleet(fcfg);
   total_episodes += 2 * fcfg.cells.size();
 
-  std::size_t mismatches = 0;
+  const std::size_t mismatches = bench::fleet_mismatches(serial, pooled);
   u64 committed = 0, rolled_back = 0, torn = 0, breaches = 0;
-  for (std::size_t i = 0; i < fcfg.cells.size(); ++i) {
-    if (!pooled.cells[i].sim_equal(serial.cells[i])) {
-      ++mismatches;
-      std::fprintf(stderr, "MISMATCH %s: fleet run diverged from serial run\n",
-                   serial.cells[i].label.c_str());
-    }
-    committed += serial.cells[i].updates_committed;
-    rolled_back += serial.cells[i].updates_rolled_back;
-    torn += serial.cells[i].torn_images;
-    breaches += serial.cells[i].downgrade_breaches;
+  for (const fleet::cell_result& c : serial.cells) {
+    committed += c.updates_committed;
+    rolled_back += c.updates_rolled_back;
+    torn += c.torn_images;
+    breaches += c.downgrade_breaches;
   }
   if (mismatches != 0 || torn != 0 || breaches != 0) ok = false;
   std::printf("%zu lifetime cells x 2 runs: %llu committed, %llu rolled back, "
@@ -291,7 +256,7 @@ int main(int argc, char** argv) {
                "\"committed\": %llu, \"rolled_back\": %llu, \"torn\": %llu, "
                "\"downgrade_breaches\": %llu, \"mismatches\": %zu},\n"
                "  \"all_recovered_or_rolled_back\": %s\n}\n",
-               fcfg.cells.size(), opt.runs,
+               fcfg.cells.size(), kRuns,
                static_cast<unsigned long long>(committed),
                static_cast<unsigned long long>(rolled_back),
                static_cast<unsigned long long>(torn),
@@ -301,11 +266,20 @@ int main(int argc, char** argv) {
 
   std::printf("\nwrote %s (%zu matrix cells, %llu episodes, %.1f ms)\n",
               opt.json_path, cells.size(), total_episodes, total_ms);
-  if (!ok) {
-    std::fprintf(stderr,
-                 "FAIL: torn image, accepted downgrade, missed replay or "
-                 "nondeterministic cell\n");
-    return 1;
+  // Recovery is all-or-nothing: each cell ends exactly one of old-intact
+  // and new-committed, and every fleet cell is accounted for as one.
+  bench::claims claims;
+  claims.check(ok, "no torn image, accepted downgrade, missed replay or fleet mismatch");
+  for (const matrix_cell& c : cells) {
+    char name[96];
+    std::snprintf(name, sizeof name, "%s/%llu/%u/%s/%s",
+                  std::string(sim::fault_point_name(c.point)).c_str(),
+                  static_cast<unsigned long long>(c.trigger), c.stalls, c.backend,
+                  std::string(engine::auth_mode_name(c.mode)).c_str());
+    claims.check(c.lr.committed_new != c.lr.old_intact,
+                 std::string(name) + " ends exactly old-intact or new-committed");
   }
-  return 0;
+  claims.check(committed + rolled_back == fcfg.cells.size(),
+               "fleet cells committed + rolled back == cells");
+  return claims.status();
 }

@@ -156,11 +156,12 @@ void gilmont_edu::submit(std::span<sim::mem_txn> batch) {
 }
 
 cycles gilmont_edu::serve_detour(bool write, addr_t addr, std::span<u8> data) {
-  if (write) ++stats_.writes;
-  else ++stats_.reads;
   // Data region: clear-form passthrough (the surveyed limitation).
-  if (addr >= cfg_.code_limit)
+  if (addr >= cfg_.code_limit) {
+    if (write) ++stats_.writes;
+    else ++stats_.reads;
     return write ? lower_->write(addr, data) : lower_->read(addr, data);
+  }
 
   // Cover the code bytes with whole lines. A write's bytes at or above
   // code_limit are data: they stay clear form, outside the cover.
@@ -173,7 +174,8 @@ cycles gilmont_edu::serve_detour(bool write, addr_t addr, std::span<u8> data) {
   const std::size_t head = static_cast<std::size_t>(addr - base);
 
   if (!write && (head != 0 || data.size() != lb)) {
-    // Split to line-aligned requests.
+    // Split to line-aligned requests; each counts as one read, as a
+    // window's native line reads do.
     bytes buf(span_len);
     cycles total = 0;
     for (std::size_t off = 0; off < span_len; off += lb)
@@ -182,6 +184,8 @@ cycles gilmont_edu::serve_detour(bool write, addr_t addr, std::span<u8> data) {
                 data.begin());
     return total;
   }
+  if (write) ++stats_.writes;
+  else ++stats_.reads;
 
   if (!write && cfg_.fetch_prediction && pf_valid_ && pf_addr_ == addr) {
     // Predicted correctly: the line is already fetched AND deciphered.

@@ -316,13 +316,17 @@ cell_result run_cell(const fleet_cell& cell) {
   return r;
 }
 
-fleet_result run_fleet(const fleet_config& cfg) {
+namespace {
+
+/// Run every cell of \p cfg through \p run_one on the work-stealing pool.
+/// Execution order is a pure scheduling choice: results land at their
+/// cell's config index, so a shuffled run must be bit-identical to a
+/// serial one — that is the property the determinism tests hammer.
+template <class Result, class Config, class RunOne>
+Result run_cells(const Config& cfg, RunOne run_one) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t n = cfg.cells.size();
 
-  // Execution order is a pure scheduling choice: results land at their
-  // cell's config index, so a shuffled run must be bit-identical to a
-  // serial one — that is the property the determinism tests hammer.
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (cfg.shuffle && n > 1) {
@@ -331,11 +335,11 @@ fleet_result run_fleet(const fleet_config& cfg) {
       std::swap(order[i], order[shuffle_rng.below(i + 1)]);
   }
 
-  fleet_result out;
+  Result out;
   out.cells.resize(n);
   out.pool = run_jobs(n, cfg.threads, [&](std::size_t i) {
     const std::size_t idx = order[i];
-    out.cells[idx] = run_cell(cfg.cells[idx]);
+    out.cells[idx] = run_one(cfg.cells[idx]);
   });
   out.host_ms = std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
@@ -343,28 +347,14 @@ fleet_result run_fleet(const fleet_config& cfg) {
   return out;
 }
 
+} // namespace
+
+fleet_result run_fleet(const fleet_config& cfg) {
+  return run_cells<fleet_result>(cfg, run_cell);
+}
+
 churn_fleet_result run_churn_fleet(const churn_fleet_config& cfg) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t n = cfg.cells.size();
-
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (cfg.shuffle && n > 1) {
-    rng shuffle_rng(cfg.shuffle_seed ^ 0x5F1EE7ULL);
-    for (std::size_t i = n - 1; i > 0; --i) // Fisher-Yates, deterministic
-      std::swap(order[i], order[shuffle_rng.below(i + 1)]);
-  }
-
-  churn_fleet_result out;
-  out.cells.resize(n);
-  out.pool = run_jobs(n, cfg.threads, [&](std::size_t i) {
-    const std::size_t idx = order[i];
-    out.cells[idx] = engine::run_churn(cfg.cells[idx]);
-  });
-  out.host_ms = std::chrono::duration<double, std::milli>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-  return out;
+  return run_cells<churn_fleet_result>(cfg, engine::run_churn);
 }
 
 u64 fleet_result::total_ops() const noexcept {

@@ -553,6 +553,36 @@ TEST(GilmontBatch, WriteStraddlingCodeLimitEnciphersOnlyTheCodeBytes) {
   }
 }
 
+TEST(GilmontBatch, UnalignedCodeReadCountsOneReadPerLine) {
+  // A code read that is not one aligned line is split into the lines it
+  // covers. edu_stats::reads counts those lines, as a window's native line
+  // reads do, and never the split request itself.
+  struct op {
+    addr_t addr;
+    std::size_t len;
+  };
+  const op ops[] = {{100, 20}, {200, 40}, {48, 32}, {4080, 32}}; // 1 + 2 + 2 + 2
+  constexpr u64 kLines = 7;
+
+  for (const bool batched : {false, true}) {
+    edu::secure_soc soc(engine_kind::gilmont_3des, native_cfg(4));
+    soc.load_image(0, patterned_image(8 * 1024));
+    std::vector<bytes> bufs;
+    for (const op& o : ops) bufs.emplace_back(o.len);
+    if (batched) {
+      std::vector<mem_txn> win;
+      for (std::size_t i = 0; i < std::size(ops); ++i)
+        win.push_back(mem_txn::read_of(i, ops[i].addr, bufs[i]));
+      soc.engine().submit(win);
+      (void)soc.engine().drain();
+    } else {
+      for (std::size_t i = 0; i < std::size(ops); ++i)
+        (void)soc.engine().read(ops[i].addr, bufs[i]);
+    }
+    EXPECT_EQ(soc.engine().stats().reads, kLines) << (batched ? "batched" : "scalar");
+  }
+}
+
 class WriteSourceUntouched : public ::testing::TestWithParam<engine_kind> {};
 
 TEST_P(WriteSourceUntouched, ScalarAndBatchedWritesLeaveTheSourceIntact) {
